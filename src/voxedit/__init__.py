@@ -44,6 +44,7 @@ from .grid import (
     linear_index,
     make_latent,
     make_sparse,
+    membership,
 )
 from .merge import (
     ComponentSet,

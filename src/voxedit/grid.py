@@ -42,6 +42,15 @@ def coords_from_linear(lin: np.ndarray, resolution: int) -> np.ndarray:
     return np.stack([x, y, z], axis=1).astype(COORD_DTYPE)
 
 
+def membership(sorted_lin: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each query index: is it in the sorted array ``sorted_lin``, and
+    where.  Positions of absent queries are clamped, not meaningful."""
+    if len(sorted_lin) == 0:
+        return np.zeros(len(query), dtype=bool), np.zeros(len(query), dtype=np.int64)
+    pos = np.minimum(np.searchsorted(sorted_lin, query), len(sorted_lin) - 1)
+    return sorted_lin[pos] == query, pos
+
+
 def _check_bounds(coords: np.ndarray, resolution: int) -> None:
     if coords.size == 0:
         return

@@ -20,6 +20,7 @@ from .grid import (
     _freeze,
     coords_from_linear,
     linear_index,
+    membership,
     require_same_resolution,
     sparse_from_linear,
 )
@@ -34,14 +35,6 @@ _STRUCTURE = {
     18: ndimage.generate_binary_structure(3, 2),
     26: ndimage.generate_binary_structure(3, 3),
 }
-
-
-def _membership(sorted_lin: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each query index: is it in the sorted array, and where."""
-    if len(sorted_lin) == 0:
-        return np.zeros(len(query), dtype=bool), np.zeros(len(query), dtype=np.int64)
-    pos = np.minimum(np.searchsorted(sorted_lin, query), len(sorted_lin) - 1)
-    return sorted_lin[pos] == query, pos
 
 
 @dataclass(frozen=True)
@@ -233,10 +226,10 @@ def slat_merge(
         raise ChannelMismatch(f"source C={z_src.channels} vs target C={z_tgt.channels}")
 
     out_lin = merged.linear()
-    in_mask, _ = _membership(mask.linear(), out_lin)
+    in_mask, _ = membership(mask.linear(), out_lin)
 
     def gather(z: StructuredLatent, lin_wanted: np.ndarray, side: str) -> np.ndarray:
-        found, pos = _membership(z.linear(), lin_wanted)
+        found, pos = membership(z.linear(), lin_wanted)
         if not np.all(found):
             missing = coords_from_linear(lin_wanted[~found][:1], resolution)[0]
             raise MissingLatent(missing, side)

@@ -3,8 +3,20 @@
 Voxelization is surface-only: a cell is occupied iff at least one triangle
 intersects the cell's closed axis-aligned box, decided by the separating
 axis test over the 13 candidate axes (3 box normals, 1 face normal, 9
-edge cross products).  Touching counts as intersecting, which keeps the
-result conservative and deterministic on cell boundaries.
+edge cross products; Akenine-Moller, "Fast 3D Triangle-Box Overlap
+Testing", JGT 2001).  Touching counts as intersecting, which keeps the
+result conservative and deterministic on cell boundaries: a triangle whose
+lowest coordinate lies exactly on a cell boundary also occupies the cell
+below it.  The test runs batched over (triangle, candidate cell) pairs in
+chunks of a fixed size, so memory stays bounded even for one triangle that
+spans the grid.  Where the arithmetic is exact (unit bounds, a power-of-two
+R, vertices on multiples of half a cell) the result equals the scalar
+brute force in ``tests/oracles.py``; elsewhere a cell that a triangle
+touches exactly may fall either way, by rounding.
+
+Surface export finds every exposed face in one pass over the six face
+directions, and ``save_obj`` writes the same bytes as one ``%.9g`` / ``%d``
+record per line, in batches of lines.
 """
 from __future__ import annotations
 
@@ -13,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyBounds
-from .grid import SparseStructure, _freeze, check_resolution, sparse_from_linear
+from .grid import SparseStructure, _freeze, check_resolution, membership, sparse_from_linear
 
 BOUNDS_MARGIN = 1e-6
 
@@ -57,26 +69,27 @@ def default_bounds(mesh: TriMesh, margin: float = BOUNDS_MARGIN):
     return lo, hi
 
 
-def _triangle_cell_overlaps(tri: np.ndarray, centers: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """SAT over all candidate cells at once; ``centers`` is (M, 3)."""
-    e = np.array([tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]])
-    axes = [np.cross(np.eye(3)[i], e[j]) for i in range(3) for j in range(3)]
-    axes.extend(np.eye(3))
-    axes.append(np.cross(e[0], e[1]))
+# (triangle, candidate cell) pairs tested per SAT batch; bounds the
+# working memory whatever the size of one triangle's candidate box.
+_SAT_CHUNK = 1 << 16
 
-    alive = np.ones(len(centers), dtype=bool)
-    for axis in axes:
-        r = float(np.dot(half, np.abs(axis)))
-        p = tri @ axis                       # (3,) vertex projections
-        c = centers[alive] @ axis            # per-cell center offset
-        pmin = p.min() - c
-        pmax = p.max() - c
-        # strict inequality: touching is not separated
-        separated = (pmin > r) | (pmax < -r)
-        alive[np.nonzero(alive)[0][separated]] = False
-        if not alive.any():
-            break
-    return alive
+# OBJ records formatted and written per ``write`` call.
+_OBJ_BATCH = 4096
+
+
+def _sat_axes(tri: np.ndarray) -> np.ndarray:
+    """The 13 separating-axis candidates of each triangle, ``(13, T, 3)``:
+    the face normal first (it rejects most candidate cells), then the 9
+    box-normal x edge cross products, then the 3 box normals."""
+    e = (tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2])
+    zero = np.zeros(len(tri))
+    axes = [np.cross(e[0], e[1])]
+    for ex, ey, ez in ((ej[:, 0], ej[:, 1], ej[:, 2]) for ej in e):
+        axes.append(np.stack([zero, -ez, ey], axis=1))  # x-hat cross e
+        axes.append(np.stack([ez, zero, -ex], axis=1))  # y-hat cross e
+        axes.append(np.stack([-ey, ex, zero], axis=1))  # z-hat cross e
+    axes.extend(np.broadcast_to(unit, (len(tri), 3)) for unit in np.eye(3))
+    return np.stack(axes)
 
 
 def voxelize_mesh(mesh: TriMesh, resolution: int, bounds=None) -> SparseStructure:
@@ -94,24 +107,48 @@ def voxelize_mesh(mesh: TriMesh, resolution: int, bounds=None) -> SparseStructur
     cell = (hi - lo) / resolution
     half = cell / 2.0
 
-    occupied: set[int] = set()
-    r2 = resolution * resolution
-    for tri_idx in mesh.triangles:
-        tri = mesh.vertices[tri_idx]
-        tmin = np.floor((tri.min(axis=0) - lo) / cell).astype(np.int64)
-        tmax = np.floor((tri.max(axis=0) - lo) / cell).astype(np.int64)
-        tmin = np.clip(tmin, 0, resolution - 1)
-        tmax = np.clip(tmax, 0, resolution - 1)
-        xs = np.arange(tmin[0], tmax[0] + 1)
-        ys = np.arange(tmin[1], tmax[1] + 1)
-        zs = np.arange(tmin[2], tmax[2] + 1)
-        gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-        idx = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-        centers = lo + (idx + 0.5) * cell
-        hit = _triangle_cell_overlaps(tri, centers, half)
-        occupied.update((idx[hit, 0] * r2 + idx[hit, 1] * resolution + idx[hit, 2]).tolist())
+    tri = mesh.vertices[mesh.triangles]  # (T, 3 vertices, 3)
+    # candidate box per triangle: every cell whose closed box can touch its
+    # AABB; ceil - 1 (not floor) keeps the cell below an exact boundary
+    tmin = np.clip(np.ceil((tri.min(axis=1) - lo) / cell).astype(np.int64) - 1, 0, resolution - 1)
+    tmax = np.clip(np.floor((tri.max(axis=1) - lo) / cell).astype(np.int64), 0, resolution - 1)
+    dims = tmax - tmin + 1
+    offsets = np.concatenate([[0], np.cumsum(np.prod(dims, axis=1))])
 
-    lin = np.fromiter(sorted(occupied), dtype=np.int64, count=len(occupied))
+    axes = _sat_axes(tri)
+    ax, ay, az = axes[..., 0], axes[..., 1], axes[..., 2]  # (13, T) each
+    proj = tri[None, :, :, 0] * ax[..., None] + tri[None, :, :, 1] * ay[..., None] \
+        + tri[None, :, :, 2] * az[..., None]              # (13, T, 3) vertex projections
+    pmin, pmax = proj.min(axis=2), proj.max(axis=2)
+    rad = half[0] * np.abs(ax) + half[1] * np.abs(ay) + half[2] * np.abs(az)
+
+    r2 = resolution * resolution
+    hits = []
+    for start in range(0, int(offsets[-1]), _SAT_CHUNK):
+        pair = np.arange(start, min(start + _SAT_CHUNK, int(offsets[-1])), dtype=np.int64)
+        t = np.searchsorted(offsets, pair, side="right") - 1
+        local = pair - offsets[t]
+        d = dims[t]
+        ix, rem = np.divmod(local, d[:, 1] * d[:, 2])
+        iy, iz = np.divmod(rem, d[:, 2])
+        ix += tmin[t, 0]
+        iy += tmin[t, 1]
+        iz += tmin[t, 2]
+        cx = lo[0] + (ix + 0.5) * cell[0]
+        cy = lo[1] + (iy + 0.5) * cell[1]
+        cz = lo[2] + (iz + 0.5) * cell[2]
+        lin = ix * r2 + iy * resolution + iz
+        for k in range(len(axes)):
+            c = cx * ax[k, t] + cy * ay[k, t] + cz * az[k, t]
+            r = rad[k, t]
+            # strict inequality: touching is not separated
+            keep = ~((pmin[k, t] - c > r) | (pmax[k, t] - c < -r))
+            t, cx, cy, cz, lin = t[keep], cx[keep], cy[keep], cz[keep], lin[keep]
+            if not len(t):
+                break
+        hits.append(np.unique(lin))
+
+    lin = np.unique(np.concatenate(hits)) if hits else np.empty(0, dtype=np.int64)
     return sparse_from_linear(lin, resolution)
 
 
@@ -125,62 +162,57 @@ _FACES = {
     (0, 0, 1): ((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)),
     (0, 0, -1): ((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)),
 }
+_FACE_DIRS = np.array(list(_FACES), dtype=np.int64)            # (6, 3)
+_FACE_QUADS = np.array(list(_FACES.values()), dtype=np.int64)  # (6, 4, 3)
+
+
+def _exposed_faces(s: SparseStructure) -> np.ndarray:
+    """``(N, 6)`` mask, in ``_FACES`` order: is the face-adjacent neighbour
+    of each occupied cell empty or outside the grid."""
+    r = s.resolution
+    coords = s.coords.astype(np.int64)
+    lin = s.linear()
+    exposed = np.empty((len(lin), len(_FACE_DIRS)), dtype=bool)
+    for f, step in enumerate(_FACE_DIRS):
+        n = coords + step
+        inside = ((n >= 0) & (n < r)).all(axis=1)
+        occupied, _ = membership(lin, lin + int(step[0] * r * r + step[1] * r + step[2]))
+        exposed[:, f] = ~(inside & occupied)
+    return exposed
 
 
 def count_exposed_faces(s: SparseStructure) -> int:
     """Number of occupied-cell faces whose face-adjacent neighbor is empty."""
-    occ = set(s.linear().tolist())
-    r = s.resolution
-    n = 0
-    for x, y, z in s.coords.tolist():
-        for dx, dy, dz in _FACES:
-            nx, ny, nz = x + dx, y + dy, z + dz
-            if not (0 <= nx < r and 0 <= ny < r and 0 <= nz < r):
-                n += 1
-            elif nx * r * r + ny * r + nz not in occ:
-                n += 1
-    return n
+    return int(_exposed_faces(s).sum())
 
 
 def extract_surface_mesh(s: SparseStructure) -> TriMesh:
     """Two triangles per exposed cube face; vertices deduplicated by exact
-    grid corner position, so each connected component is watertight."""
-    occ = set(s.linear().tolist())
-    r = s.resolution
-    vert_ids: dict[tuple[int, int, int], int] = {}
-    verts: list[tuple[int, int, int]] = []
-    tris: list[tuple[int, int, int]] = []
+    grid corner position, so each connected component is watertight.
 
-    def vid(p):
-        i = vert_ids.get(p)
-        if i is None:
-            i = len(verts)
-            vert_ids[p] = i
-            verts.append(p)
-        return i
+    Faces come voxel by voxel in linear-index order, and within a voxel in
+    ``_FACES`` order; vertices are numbered by their first use."""
+    voxel, face = np.nonzero(_exposed_faces(s))
+    corners = (s.coords.astype(np.int64)[voxel, None, :] + _FACE_QUADS[face]).reshape(-1, 3)
+    side = s.resolution + 1
+    key = (corners[:, 0] * side + corners[:, 1]) * side + corners[:, 2]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    quad = rank[inverse.reshape(-1)].reshape(-1, 4)
 
-    for x, y, z in s.coords.tolist():
-        for (dx, dy, dz), quad in _FACES.items():
-            nx, ny, nz = x + dx, y + dy, z + dz
-            inside = 0 <= nx < r and 0 <= ny < r and 0 <= nz < r
-            if inside and (nx * r * r + ny * r + nz) in occ:
-                continue
-            a, b, c, d = (vid((x + ox, y + oy, z + oz)) for ox, oy, oz in quad)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-
-    vertices = np.array(verts, dtype=np.float64).reshape(-1, 3)
-    triangles = np.array(tris, dtype=np.int64).reshape(-1, 3)
+    vertices = corners[np.sort(first)].astype(np.float64).reshape(-1, 3)
+    triangles = np.stack([quad[:, [0, 1, 2]], quad[:, [0, 2, 3]]], axis=1).reshape(-1, 3)
     return TriMesh(vertices=_freeze(vertices), triangles=_freeze(triangles))
 
 
 def save_obj(mesh: TriMesh, path) -> None:
     """OBJ-compatible text export: v/f records, 1-based indices."""
     with open(path, "w", encoding="utf-8") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for t in mesh.triangles:
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+        for rows, record in ((mesh.vertices, "v %.9g %.9g %.9g\n"), (mesh.triangles + 1, "f %d %d %d\n")):
+            for i in range(0, len(rows), _OBJ_BATCH):
+                batch = rows[i:i + _OBJ_BATCH]
+                fh.write(record * len(batch) % tuple(batch.ravel().tolist()))
 
 
 def load_obj(path) -> TriMesh:

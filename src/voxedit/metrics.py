@@ -8,8 +8,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptySet
-from .grid import SparseStructure, require_same_resolution
-from .merge import FlipMask, _membership, diff_xor
+from .grid import SparseStructure, membership, require_same_resolution
+from .merge import FlipMask, diff_xor
 
 
 def chamfer(a: np.ndarray, b: np.ndarray) -> float:
@@ -75,8 +75,8 @@ def region_consistency(
     if len(mask_lin) == 0:
         inside_fraction = 1.0
     else:
-        in_merged, _ = _membership(merged.linear(), mask_lin)
-        in_tgt, _ = _membership(s_tgt.linear(), mask_lin)
+        in_merged, _ = membership(merged.linear(), mask_lin)
+        in_tgt, _ = membership(s_tgt.linear(), mask_lin)
         inside_fraction = float(np.mean(in_merged == in_tgt))
 
     return ConsistencyReport(

@@ -356,16 +356,16 @@ class MockGeneratorBackend(GeneratorBackend):
 
 
 class MockFilterBackend(FilterBackend):
-    """Scripted accept/reject sequence; repeats the last verdict forever."""
+    """Scripted accept/reject verdict per attempt: attempt ``a`` of every
+    sample gets ``verdicts[a - 1]``, and attempts past the end of the
+    script get its last verdict.  Stateless, so the verdicts do not depend
+    on the order in which samples are judged."""
 
     def __init__(self, verdicts=(True,)):
         self.verdicts = [bool(v) for v in verdicts]
-        self._calls = 0
 
     def judge(self, record: ManifestRecord) -> tuple[bool, str]:
-        i = min(self._calls, len(self.verdicts) - 1)
-        self._calls += 1
-        ok = self.verdicts[i]
+        ok = self.verdicts[min(record.attempt - 1, len(self.verdicts) - 1)]
         return ok, "mock filter accepted" if ok else "mock filter rejected"
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written the slow, obvious way and shares
 no code with the package: dense brute force, BFS flood fill, scalar SAT,
-quadratic scans.
+quadratic scans, and the per-triangle and per-voxel loops the mesh layer
+used before it was vectorised.
 """
 from __future__ import annotations
 
@@ -114,6 +115,101 @@ def voxelize_brute_force(vertices, triangles, resolution, lo, hi) -> set:
                     if tri_box_overlap_scalar(tri, blo, bhi):
                         occupied.add((x, y, z))
     return occupied
+
+
+def _triangle_cell_overlaps(tri: np.ndarray, centers: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """SAT of one triangle against (M, 3) cell ``centers``, axis by axis."""
+    e = np.array([tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]])
+    axes = [np.cross(np.eye(3)[i], e[j]) for i in range(3) for j in range(3)]
+    axes.extend(np.eye(3))
+    axes.append(np.cross(e[0], e[1]))
+
+    alive = np.ones(len(centers), dtype=bool)
+    for axis in axes:
+        r = float(np.dot(half, np.abs(axis)))
+        p = tri @ axis                       # (3,) vertex projections
+        c = centers[alive] @ axis            # per-cell center offset
+        pmin = p.min() - c
+        pmax = p.max() - c
+        # strict inequality: touching is not separated
+        separated = (pmin > r) | (pmax < -r)
+        alive[np.nonzero(alive)[0][separated]] = False
+        if not alive.any():
+            break
+    return alive
+
+
+def voxelize_mesh_loop(vertices, triangles, resolution, lo, hi) -> set:
+    """The per-triangle voxelization loop the library used before it
+    batched the SAT.  Its candidate box starts at ``floor`` of the
+    triangle's minimum, so a triangle whose minimum lies exactly on a cell
+    boundary misses the cell it touches from below; compare with it only
+    on meshes that touch no boundary exactly."""
+    vertices = np.asarray(vertices, dtype=np.float64)
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    cell = (hi - lo) / resolution
+    half = cell / 2.0
+    occupied = set()
+    for tri_idx in triangles:
+        tri = vertices[list(tri_idx)]
+        tmin = np.clip(np.floor((tri.min(axis=0) - lo) / cell).astype(np.int64), 0, resolution - 1)
+        tmax = np.clip(np.floor((tri.max(axis=0) - lo) / cell).astype(np.int64), 0, resolution - 1)
+        gx, gy, gz = np.meshgrid(*(np.arange(tmin[i], tmax[i] + 1) for i in range(3)), indexing="ij")
+        idx = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+        hit = _triangle_cell_overlaps(tri, lo + (idx + 0.5) * cell, half)
+        occupied.update(map(tuple, idx[hit].tolist()))
+    return occupied
+
+
+# Quad corner offsets per face direction, wound counter-clockwise viewed
+# from outside the cube.
+_CUBE_FACES = {
+    (1, 0, 0): ((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)),
+    (-1, 0, 0): ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0)),
+    (0, 1, 0): ((0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 1, 0)),
+    (0, -1, 0): ((0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1)),
+    (0, 0, 1): ((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)),
+    (0, 0, -1): ((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)),
+}
+
+
+def surface_mesh_loop(coords, resolution):
+    """Per-voxel, per-face surface extraction: for each voxel in the given
+    order and each face direction, an exposed face adds two triangles, and
+    corners are numbered by first use.  Returns (vertices, triangles)."""
+    r = int(resolution)
+    occ = {tuple(int(v) for v in c) for c in coords}
+    vert_ids: dict[tuple[int, int, int], int] = {}
+    verts: list[tuple[int, int, int]] = []
+    tris: list[tuple[int, int, int]] = []
+
+    def vid(p):
+        if p not in vert_ids:
+            vert_ids[p] = len(verts)
+            verts.append(p)
+        return vert_ids[p]
+
+    for x, y, z in (tuple(int(v) for v in c) for c in coords):
+        for (dx, dy, dz), quad in _CUBE_FACES.items():
+            nx, ny, nz = x + dx, y + dy, z + dz
+            if 0 <= nx < r and 0 <= ny < r and 0 <= nz < r and (nx, ny, nz) in occ:
+                continue
+            a, b, c, d = (vid((x + ox, y + oy, z + oz)) for ox, oy, oz in quad)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    vertices = np.array(verts, dtype=np.float64).reshape(-1, 3)
+    triangles = np.array(tris, dtype=np.int64).reshape(-1, 3)
+    return vertices, triangles
+
+
+def save_obj_loop(vertices, triangles, path) -> None:
+    """OBJ text export with one ``write`` per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in vertices:
+            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+        for t in triangles:
+            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
 
 
 def chamfer_quadratic(a: np.ndarray, b: np.ndarray) -> float:

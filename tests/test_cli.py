@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import voxedit
 from voxedit import (
     Threshold,
     extract_surface_mesh,
@@ -294,10 +296,13 @@ def test_top_level_help_golden():
 
 
 def test_console_entry_point_runs():
+    # the child imports the same voxedit as this process, wherever it came from
+    package_root = str(Path(voxedit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "voxedit.cli", "flowedit", "--oracle", "delta",
          "--x0", "0", "--seed", "0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["output"][0] == pytest.approx(1.0, abs=1e-6)

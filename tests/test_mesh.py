@@ -1,11 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from voxedit import extract_surface_mesh, load_obj, make_mesh, make_sparse, save_obj, voxelize_mesh
+from voxedit import mesh as mesh_module
 from voxedit.errors import EmptyBounds
 from voxedit.mesh import count_exposed_faces
 
-from oracles import random_structure_coords, voxelize_brute_force
+from oracles import (
+    random_structure_coords,
+    save_obj_loop,
+    surface_mesh_loop,
+    voxelize_brute_force,
+    voxelize_mesh_loop,
+)
 
 
 def unit_cube_mesh():
@@ -62,6 +71,72 @@ def test_matches_brute_force_oracle():
         s = voxelize_mesh(mesh, 8, ((0, 0, 0), (1, 1, 1)))
         expected = voxelize_brute_force(verts, tris, 8, (0, 0, 0), (1, 1, 1))
         assert set(map(tuple, s.coords.tolist())) == expected
+
+
+def voxel_set(s):
+    return set(map(tuple, s.coords.tolist()))
+
+
+def random_soup(rng, n_tris, snap=None):
+    """``n_tris`` independent triangles in [0, 1]^3; with ``snap``, every
+    coordinate is a multiple of ``1 / snap``."""
+    if snap is None:
+        verts = rng.uniform(0, 1, size=(3 * n_tris, 3))
+    else:
+        verts = rng.integers(0, snap + 1, size=(3 * n_tris, 3)) / snap
+    return verts, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(n_tris)]
+
+
+@pytest.mark.parametrize("chunk", [None, 5, 1000])
+def test_voxelize_exact_arithmetic_matches_brute_force(monkeypatch, chunk):
+    # power-of-two R, unit bounds and vertices on half-cell multiples keep
+    # every SAT quantity exact, so touching is decided without rounding;
+    # about half of the coordinates sit exactly on a cell boundary
+    if chunk is not None:
+        monkeypatch.setattr(mesh_module, "_SAT_CHUNK", chunk)
+    rng = np.random.default_rng(20)
+    for trial in range(108):
+        resolution = (2, 4, 8)[trial % 3]
+        verts, tris = random_soup(rng, int(rng.integers(1, 4)), snap=2 * resolution)
+        s = voxelize_mesh(make_mesh(verts, tris), resolution, ((0, 0, 0), (1, 1, 1)))
+        assert voxel_set(s) == voxelize_brute_force(verts, tris, resolution, (0, 0, 0), (1, 1, 1))
+
+
+@pytest.mark.parametrize("chunk", [None, 5, 1000])
+def test_voxelize_generic_matches_loop_and_brute_force(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(mesh_module, "_SAT_CHUNK", chunk)
+    rng = np.random.default_rng(21)
+    for trial in range(24):
+        resolution = (3, 5, 8, 13)[trial % 4]
+        verts, tris = random_soup(rng, int(rng.integers(1, 4)))
+        s = voxelize_mesh(make_mesh(verts, tris), resolution, ((0, 0, 0), (1, 1, 1)))
+        assert voxel_set(s) == voxelize_mesh_loop(verts, tris, resolution, (0, 0, 0), (1, 1, 1))
+        assert voxel_set(s) == voxelize_brute_force(verts, tris, resolution, (0, 0, 0), (1, 1, 1))
+
+
+def test_voxelize_includes_cell_touched_from_below():
+    # the triangle's lowest x lies exactly on the boundary between cells 1
+    # and 2, so it touches the closed box of cell 1 as well
+    verts = [[0.5, 0.375, 0.375], [0.875, 0.375, 0.625], [0.875, 0.625, 0.375]]
+    s = voxelize_mesh(make_mesh(verts, [(0, 1, 2)]), 4, ((0, 0, 0), (1, 1, 1)))
+    assert (1, 1, 1) in voxel_set(s)
+    assert voxel_set(s) == voxelize_brute_force(verts, [(0, 1, 2)], 4, (0, 0, 0), (1, 1, 1))
+
+
+def test_voxelize_grid_spanning_triangle_memory_is_bounded():
+    # about 2M candidate cells; the SAT batches keep the peak far below the
+    # ~100 MiB that testing them all at once would take
+    verts = [[0.01, 0.01, 0.01], [0.99, 0.02, 0.5], [0.3, 0.99, 0.99]]
+    mesh = make_mesh(verts, [(0, 1, 2)])
+    tracemalloc.start()
+    try:
+        s = voxelize_mesh(mesh, 128, ((0, 0, 0), (1, 1, 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert s.voxel_sum > 128 * 128
 
 
 def test_degenerate_triangle_contributes_cells():
@@ -181,7 +256,48 @@ def test_surface_normals_point_outward():
         assert np.dot(normal, (a + b + c) / 3 - center) > 0
 
 
+def surface_cases():
+    rng = np.random.default_rng(14)
+    cases = [make_sparse([], 8), make_sparse([(0, 0, 0)], 2),
+             make_sparse([(x, y, z) for x in range(3) for y in range(3) for z in range(3)], 3),
+             make_sparse([(0, 0, 0), (7, 7, 7), (0, 7, 3), (7, 0, 0), (3, 3, 0)], 8)]
+    for resolution in (2, 5, 8, 16):
+        for density in (0.05, 0.3, 0.7):
+            cases.append(make_sparse(random_structure_coords(rng, resolution, density), resolution))
+    return cases
+
+
+def test_surface_equals_loop_reference():
+    # includes voxels on every grid face, the full grid and the empty set
+    for s in surface_cases():
+        mesh = extract_surface_mesh(s)
+        verts, tris = surface_mesh_loop(s.coords, s.resolution)
+        assert mesh.vertices.dtype == verts.dtype and mesh.triangles.dtype == tris.dtype
+        assert np.array_equal(mesh.vertices, verts)
+        assert np.array_equal(mesh.triangles, tris)
+        assert count_exposed_faces(s) == len(tris) // 2
+
+
 # --- OBJ io --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("batch", [None, 1, 7])
+def test_save_obj_bytes_equal_loop_reference(tmp_path, monkeypatch, batch):
+    if batch is not None:
+        monkeypatch.setattr(mesh_module, "_OBJ_BATCH", batch)
+    rng = np.random.default_rng(15)
+    odd = np.array([[-0.0, 1e-12, 1e12], [0.1, -1 / 3, 2.5e-300], [123456789.123, -7.0, 1e300],
+                    [np.inf, -np.inf, np.nan]])
+    meshes = [extract_surface_mesh(s) for s in surface_cases()]
+    for n in (1, 4, 5000):
+        verts = np.concatenate([odd, rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-15, 15, (n, 1))])
+        meshes.append(make_mesh(verts, rng.integers(0, len(verts), size=(n, 3))))
+    for i, mesh in enumerate(meshes):
+        save_obj(mesh, tmp_path / "new.obj")
+        save_obj_loop(mesh.vertices, mesh.triangles, tmp_path / "old.obj")
+        assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes(), i
+
+
 
 
 def test_obj_round_trip(tmp_path):

@@ -299,11 +299,22 @@ def test_pipeline_two_runs_byte_identical(tmp_path):
 
 
 def test_pipeline_workers_do_not_change_output(tmp_path):
-    m1 = run_pipeline(tmp_path / "serial", n_samples=6, seed=5,
-                      backends=mock_backend_suite(16, 4), workers=1)
-    m2 = run_pipeline(tmp_path / "parallel", n_samples=6, seed=5,
-                      backends=mock_backend_suite(16, 4), workers=4)
-    assert m1.read_bytes() == m2.read_bytes()
+    for script, verdicts in enumerate([(True,), (True, False) * 10, (False, True, False)]):
+        def run(name, workers):
+            return run_pipeline(tmp_path / f"{name}{script}", n_samples=6, seed=5, max_attempts=3,
+                                workers=workers,
+                                backends=mock_backend_suite(16, 4, verdicts=verdicts)).read_bytes()
+
+        serial = run("serial", 1)
+        assert run("parallel", 4) == serial, verdicts
+        assert run("parallel-again", 4) == serial, verdicts
+
+
+def test_mock_filter_verdict_depends_on_attempt_only():
+    judge = mock_backend_suite(16, 4, verdicts=(False, True, False)).quality_filter.judge
+    verdicts = [judge(ManifestRecord(id=i, status="ok", attempt=a))[0]
+                for a in (3, 1, 4, 2, 1) for i in ("a", "b")]
+    assert verdicts == [False] * 6 + [True, True, False, False]
 
 
 def test_pipeline_rejects_manifest_with_directories(tmp_path):
