@@ -48,7 +48,6 @@ from .grid import (
 )
 from .merge import (
     ComponentSet,
-    DiffMap,
     FlipMask,
     Threshold,
     TopK,

@@ -19,16 +19,15 @@ from .grid import SparseStructure, StructuredLatent, make_sparse
 from .merge import (
     CONNECTIVITIES,
     DEFAULT_CONNECTIVITY,
-    DiffMap,
+    DEFAULT_TAU,
     FlipMask,
     Threshold,
     TopK,
-    apply_flip,
     diff_xor,
     label_components,
     mask_all,
-    select_components,
     slat_merge,
+    voxel_merge,
 )
 from .mesh import load_obj, save_obj, extract_surface_mesh, voxelize_mesh
 from .metrics import chamfer_voxels, occupancy_iou, region_consistency
@@ -55,13 +54,13 @@ def _read_latent(path) -> StructuredLatent:
     return payload
 
 
-def _mask_report(mask, components, policy) -> dict:
+def _mask_report(mask: FlipMask, policy, connectivity: int) -> dict:
     return {
         "resolution": mask.resolution,
-        "policy": policy.describe() | {"connectivity": components.connectivity},
-        "component_sizes": components.sizes,
+        "policy": policy.describe() | {"connectivity": connectivity},
+        "component_sizes": list(mask.component_sizes),
         "selected_sizes": list(mask.selected_sizes),
-        "mask_size": mask.size,
+        "mask_size": mask.voxel_sum,
         "coords": mask.coords.tolist(),
     }
 
@@ -69,14 +68,15 @@ def _mask_report(mask, components, policy) -> dict:
 def _mask_from_report(obj: dict) -> FlipMask:
     s = make_sparse(obj["coords"], obj["resolution"])
     return FlipMask(resolution=s.resolution, coords=s.coords,
-                    selected_sizes=tuple(obj.get("selected_sizes", ())))
+                    selected_sizes=tuple(obj.get("selected_sizes", ())),
+                    component_sizes=tuple(obj.get("component_sizes", ())))
 
 
 def _policy_from_args(args):
     if getattr(args, "top_k", None) is not None:
         return TopK(args.top_k)
     tau = getattr(args, "tau", None)
-    return Threshold(tau if tau is not None else 100)
+    return Threshold() if tau is None else Threshold(tau)
 
 
 def _vector(text: str) -> np.ndarray:
@@ -109,15 +109,13 @@ def cmd_surface(args) -> int:
 def cmd_diff(args) -> int:
     d = diff_xor(_read_structure(args.src), _read_structure(args.tgt))
     if args.out:
-        write_nvx(d.structure(), args.out)
-    _emit({"diff_size": d.size, "out": str(args.out) if args.out else None})
+        write_nvx(d, args.out)
+    _emit({"diff_size": d.voxel_sum, "out": str(args.out) if args.out else None})
     return 0
 
 
 def cmd_components(args) -> int:
-    s = _read_structure(args.input)
-    d = DiffMap(resolution=s.resolution, coords=s.coords)
-    cs = label_components(d, args.connectivity)
+    cs = label_components(_read_structure(args.input), args.connectivity)
     _emit({"connectivity": cs.connectivity, "count": len(cs.components), "sizes": cs.sizes})
     return 0
 
@@ -126,20 +124,18 @@ def cmd_merge(args) -> int:
     s_src = _read_structure(args.src)
     s_tgt = _read_structure(args.tgt)
     policy = _policy_from_args(args)
-    d = diff_xor(s_src, s_tgt)
-    cs = label_components(d, args.connectivity)
-    mask = select_components(cs, policy)
-    merged = apply_flip(s_src, mask)
+    merged, mask = voxel_merge(s_src, s_tgt, args.connectivity, policy)
     write_nvx(merged, args.out)
-    report = _mask_report(mask, cs, policy)
     if args.mask_out:
-        Path(args.mask_out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        # compact separators keep json on its C encoder; indent would not
+        report = json.dumps(_mask_report(mask, policy, args.connectivity), separators=(",", ":"))
+        Path(args.mask_out).write_text(report + "\n", encoding="utf-8")
     _emit({
         "out": str(args.out),
         "mask_out": str(args.mask_out) if args.mask_out else None,
-        "diff_size": d.size,
-        "component_sizes": report["component_sizes"],
-        "selected_sizes": report["selected_sizes"],
+        "diff_size": sum(mask.component_sizes),
+        "component_sizes": list(mask.component_sizes),
+        "selected_sizes": list(mask.selected_sizes),
         "merged_voxel_sum": merged.voxel_sum,
     })
     return 0
@@ -158,7 +154,7 @@ def cmd_slat_merge(args) -> int:
     out = slat_merge(z_src, z_tgt, mask, merged)
     write_nvx(out, args.out)
     _emit({"out": str(args.out), "voxel_sum": out.voxel_sum, "channels": out.channels,
-           "mask_size": mask.size})
+           "mask_size": mask.voxel_sum})
     return 0
 
 
@@ -293,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True, help="source occupancy NVX")
     p.add_argument("--tgt", required=True, help="edited occupancy NVX")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--tau", type=int, help="select components larger than this size (default 100)")
+    group.add_argument("--tau", type=int, help=f"select components larger than this size (default {DEFAULT_TAU})")
     group.add_argument("--top-k", type=int, help="select the k largest components instead")
     p.add_argument("--connectivity", type=int, choices=CONNECTIVITIES, default=DEFAULT_CONNECTIVITY)
     p.add_argument("--out", required=True, help="merged occupancy NVX path")
@@ -361,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, required=True, help="master seed (required)")
     pr.add_argument("--max-attempts", dest="max_attempts", type=int, default=1)
     group = pr.add_mutually_exclusive_group()
-    group.add_argument("--tau", type=int, help="threshold policy (default 100)")
+    group.add_argument("--tau", type=int, help=f"threshold policy (default {DEFAULT_TAU})")
     group.add_argument("--top-k", type=int, help="top-k policy instead of threshold")
     pr.add_argument("--connectivity", type=int, choices=CONNECTIVITIES, default=DEFAULT_CONNECTIVITY)
     pr.add_argument("--workers", type=int, default=1)

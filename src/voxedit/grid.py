@@ -51,13 +51,26 @@ def membership(sorted_lin: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, n
     return sorted_lin[pos] == query, pos
 
 
-def _check_bounds(coords: np.ndarray, resolution: int) -> None:
-    if coords.size == 0:
-        return
-    bad = (coords < 0) | (coords >= resolution)
+def _parse_coords(coords, resolution: int) -> np.ndarray:
+    """Validate a coordinate collection into an ``(N, 3)`` int64 array.
+
+    Every entry must be an integer (an integral float passes) inside
+    ``[0, resolution)``; nothing is truncated or wrapped, since coords may
+    come from outside the program, such as a mask JSON file.
+    """
+    arr = np.asarray(coords if isinstance(coords, np.ndarray) else list(coords))
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError("coords must be an (N, 3) collection")
+    integral = arr.dtype.kind in "biu" or (
+        arr.dtype.kind == "f" and (np.isfinite(arr) & (arr == np.round(arr))).all())
+    if not integral:
+        raise ValueError(f"coords must be integers in [0, {resolution})")
+    bad = (arr < 0) | (arr >= resolution)
     if bad.any():
-        idx = int(np.nonzero(bad.any(axis=1))[0][0])
-        raise OutOfBounds(coords[idx], resolution)
+        raise OutOfBounds(arr[np.nonzero(bad.any(axis=1))[0][0]], resolution)
+    return arr.astype(np.int64)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -115,13 +128,7 @@ def make_sparse(coords, resolution: int = DEFAULT_RESOLUTION) -> SparseStructure
     outside ``[0, resolution)`` raises :class:`OutOfBounds`.
     """
     resolution = check_resolution(resolution)
-    arr = np.asarray(list(coords) if not isinstance(coords, np.ndarray) else coords, dtype=np.int64)
-    if arr.size == 0:
-        arr = arr.reshape(0, 3)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("coords must be an (N, 3) collection")
-    _check_bounds(arr, resolution)
-    lin = np.unique(linear_index(arr, resolution))
+    lin = np.unique(linear_index(_parse_coords(coords, resolution), resolution))
     return SparseStructure(resolution=resolution, coords=_freeze(coords_from_linear(lin, resolution)))
 
 
@@ -176,11 +183,7 @@ def make_latent(coords, latents, resolution: int = DEFAULT_RESOLUTION) -> Struct
     two latents for one voxel have no well-defined winner.
     """
     resolution = check_resolution(resolution)
-    arr = np.asarray(list(coords) if not isinstance(coords, np.ndarray) else coords, dtype=np.int64)
-    if arr.size == 0:
-        arr = arr.reshape(0, 3)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("coords must be an (N, 3) collection")
+    arr = _parse_coords(coords, resolution)
     lat = np.asarray(latents, dtype=LATENT_DTYPE)
     if lat.size == 0:
         lat = lat.reshape(0, lat.shape[1] if lat.ndim == 2 else 1)
@@ -190,7 +193,6 @@ def make_latent(coords, latents, resolution: int = DEFAULT_RESOLUTION) -> Struct
         raise ChannelMismatch("latent channel count must be >= 1")
     if not np.isfinite(lat).all():
         raise ValueError("latent values must be finite")
-    _check_bounds(arr, resolution)
     lin = linear_index(arr, resolution)
     order = np.argsort(lin, kind="stable")
     lin = lin[order]

@@ -8,7 +8,7 @@ target's latents and everything else keeps the source's bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -62,24 +62,6 @@ class Threshold:
 
 
 @dataclass(frozen=True)
-class DiffMap:
-    """Voxels occupied in exactly one of the two compared structures."""
-
-    resolution: int
-    coords: np.ndarray = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return int(self.coords.shape[0])
-
-    def linear(self) -> np.ndarray:
-        return linear_index(self.coords, self.resolution)
-
-    def structure(self) -> SparseStructure:
-        return SparseStructure(resolution=self.resolution, coords=self.coords)
-
-
-@dataclass(frozen=True)
 class ComponentSet:
     """Connectivity components of a difference map, largest first.
 
@@ -96,31 +78,28 @@ class ComponentSet:
         return [int(c.shape[0]) for c in self.components]
 
 
-@dataclass(frozen=True)
-class FlipMask:
-    """Union of selected difference components; never splits a component."""
+@dataclass(frozen=True, eq=False)
+class FlipMask(SparseStructure):
+    """Union of selected difference components; never splits a component.
 
-    resolution: int
-    coords: np.ndarray = field(repr=False)
+    ``component_sizes`` lists every component of the difference map it was
+    selected from, in canonical order; ``selected_sizes`` the chosen ones.
+    """
+
     selected_sizes: tuple = ()
-
-    @property
-    def size(self) -> int:
-        return int(self.coords.shape[0])
-
-    def linear(self) -> np.ndarray:
-        return linear_index(self.coords, self.resolution)
+    component_sizes: tuple = ()
 
 
-def diff_xor(s_src: SparseStructure, s_tgt: SparseStructure) -> DiffMap:
+def diff_xor(s_src: SparseStructure, s_tgt: SparseStructure) -> SparseStructure:
     """Difference map: cells whose occupancy differs between the inputs."""
     resolution = require_same_resolution(s_src, s_tgt)
     lin = np.setxor1d(s_src.linear(), s_tgt.linear(), assume_unique=True)
-    return DiffMap(resolution=resolution, coords=_freeze(coords_from_linear(lin, resolution)))
+    return sparse_from_linear(lin, resolution)
 
 
-def label_components(d: DiffMap, connectivity: int = DEFAULT_CONNECTIVITY) -> ComponentSet:
-    """Decompose a difference map into connectivity components.
+def label_components(d: SparseStructure, connectivity: int = DEFAULT_CONNECTIVITY) -> ComponentSet:
+    """Decompose a structure, usually a difference map, into connectivity
+    components.
 
     Components come back ordered by size descending, then by smallest
     member linear index ascending; voxels within a component stay in
@@ -128,10 +107,10 @@ def label_components(d: DiffMap, connectivity: int = DEFAULT_CONNECTIVITY) -> Co
     """
     if connectivity not in _STRUCTURE:
         raise ValueError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
-    if d.size == 0:
+    if d.voxel_sum == 0:
         return ComponentSet(resolution=d.resolution, connectivity=connectivity, components=())
 
-    grid = d.structure().to_dense()
+    grid = d.to_dense()
     labeled, n_labels = ndimage.label(grid, structure=_STRUCTURE[connectivity])
     # coords are already in ascending linear order; a stable sort by label
     # leaves each component's voxels in that order
@@ -172,6 +151,7 @@ def select_components(cs: ComponentSet, policy) -> FlipMask:
         resolution=cs.resolution,
         coords=_freeze(coords),
         selected_sizes=tuple(int(c.shape[0]) for c in chosen),
+        component_sizes=tuple(cs.sizes),
     )
 
 
@@ -192,10 +172,12 @@ def voxel_merge(
     """Transfer the significant edited regions of ``s_tgt`` onto ``s_src``.
 
     Returns the merged structure together with the flip mask so the same
-    mask can drive the latent-level merge downstream.
+    mask can drive the latent-level merge downstream.  The mask keeps the
+    sizes of all difference components, so ``sum(mask.component_sizes)``
+    is the size of the difference map.
     """
     if policy is None:
-        policy = Threshold(DEFAULT_TAU)
+        policy = Threshold()
     d = diff_xor(s_src, s_tgt)
     cs = label_components(d, connectivity)
     mask = select_components(cs, policy)

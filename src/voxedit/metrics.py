@@ -82,6 +82,6 @@ def region_consistency(
     return ConsistencyReport(
         outside_mask_iou=outside_iou,
         inside_mask_match_fraction=inside_fraction,
-        mask_size=mask.size,
-        diff_size=diff_xor(s_src, s_tgt).size,
+        mask_size=mask.voxel_sum,
+        diff_size=diff_xor(s_src, s_tgt).voxel_sum,
     )

@@ -20,15 +20,7 @@ import numpy as np
 
 from .errors import EmptySlot, InstructionError, MissingSlot, SlotSyntaxError, UnknownAction
 from .grid import SparseStructure, StructuredLatent, make_latent
-from .merge import (
-    DEFAULT_CONNECTIVITY,
-    Threshold,
-    apply_flip,
-    diff_xor,
-    label_components,
-    select_components,
-    slat_merge,
-)
+from .merge import DEFAULT_CONNECTIVITY, Threshold, slat_merge, voxel_merge
 from .nvx import write_nvx
 
 # --- instruction templating ---------------------------------------------
@@ -445,10 +437,7 @@ def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt) -> Ma
             edited_ref, derive_seed(sample.seed, attempt, "generate_target"))
 
         stage = "voxel_merge"
-        diff = diff_xor(s_src, s_tgt)
-        components = label_components(diff, connectivity)
-        mask = select_components(components, policy)
-        merged = apply_flip(s_src, mask)
+        merged, mask = voxel_merge(s_src, s_tgt, connectivity, policy)
 
         stage = "slat_merge"
         merged_slat = slat_merge(z_src, z_tgt, mask, merged)
@@ -472,7 +461,7 @@ def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt) -> Ma
             setattr(record, name, paths[name])
         record.voxel_sum_src = s_src.voxel_sum
         record.voxel_sum_tgt = s_tgt.voxel_sum
-        record.mask_component_sizes = components.sizes
+        record.mask_component_sizes = list(mask.component_sizes)
         record.mask_selected_sizes = list(mask.selected_sizes)
 
         stage = "filter"

@@ -63,7 +63,7 @@ def random_structure(rng, resolution, density):
 
 def dense_mask(mask, resolution):
     grid = np.zeros((resolution,) * 3, dtype=bool)
-    if mask.size:
+    if mask.voxel_sum:
         grid[mask.coords[:, 0], mask.coords[:, 1], mask.coords[:, 2]] = True
     return grid
 

@@ -57,8 +57,11 @@ def test_merge_command_writes_artifacts(tmp_path, capsys):
     report = json.loads(mask_out.read_text())
     assert report["policy"] == {"kind": "threshold", "tau": 100, "connectivity": 26}
     # CLI output equals library output byte for byte
-    merged, _ = voxel_merge(src, tgt, policy=Threshold(100))
+    merged, mask = voxel_merge(src, tgt, policy=Threshold(100))
     assert out.read_bytes() == encode_nvx(merged)
+    assert report["coords"] == mask.coords.tolist()
+    assert report["component_sizes"] == list(mask.component_sizes)
+    assert report["selected_sizes"] == list(mask.selected_sizes)
 
 
 def test_flowedit_example(tmp_path, capsys):
@@ -238,16 +241,33 @@ def test_consistency_command(tmp_path, capsys):
     assert payload["inside_mask_match_fraction"] == 1.0
 
 
-def test_pipeline_run_command(tmp_path, capsys):
-    code, stdout, _ = run_cli(
-        capsys, "pipeline", "run", "--out-dir", str(tmp_path / "run"),
-        "--samples", "3", "--seed", "4", "--max-attempts", "2",
-        "--resolution", "16", "--channels", "4",
+def test_consistency_rejects_fractional_mask_coords(tmp_path, capsys):
+    src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=76)
+    write_nvx(src, tmp_path / "m.nvx")
+    mask_path = tmp_path / "mask.json"
+    mask_path.write_text(json.dumps({"resolution": 16, "coords": [[2.9, 0, 0]]}))
+    code, stdout, stderr = run_cli(
+        capsys, "consistency", "--src", str(src_path), "--tgt", str(tgt_path),
+        "--merged", str(tmp_path / "m.nvx"), "--mask", str(mask_path),
     )
-    assert code == 0
-    manifest = Path(json.loads(stdout)["manifest"])
-    assert manifest.exists()
-    assert len(manifest.read_text().splitlines()) == 3
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error:")
+
+
+def test_pipeline_run_command(tmp_path, capsys):
+    manifests = {}
+    for workers in ("1", "2"):
+        code, stdout, _ = run_cli(
+            capsys, "pipeline", "run", "--out-dir", str(tmp_path / f"run{workers}"),
+            "--samples", "3", "--seed", "4", "--max-attempts", "2",
+            "--resolution", "16", "--channels", "4", "--workers", workers,
+        )
+        assert code == 0
+        manifests[workers] = Path(json.loads(stdout)["manifest"]).read_bytes()
+    assert len(manifests["1"].decode().splitlines()) == 3
+    # output bytes do not depend on the worker count
+    assert manifests["2"] == manifests["1"]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -27,6 +27,17 @@ def test_out_of_bounds_rejected():
         make_sparse([(0, -1, 0)], 4)
 
 
+@pytest.mark.parametrize("bad", [2.9, 2**63])
+@pytest.mark.parametrize("build", [
+    lambda c: make_sparse(c, 4),
+    lambda c: make_latent(c, [[0.0]], 4),
+], ids=["make_sparse", "make_latent"])
+def test_non_integer_or_huge_coords_rejected(build, bad):
+    # never truncated to a grid cell, never an uncaught OverflowError
+    with pytest.raises((ValueError, OutOfBounds)):
+        build([[bad, 0, 0]])
+
+
 def test_resolution_range():
     with pytest.raises(ValueError):
         make_sparse([], 1)

@@ -32,7 +32,7 @@ def random_structure(rng, resolution, density=None):
 def test_diff_self_is_empty():
     rng = np.random.default_rng(20)
     s = random_structure(rng, 8)
-    assert diff_xor(s, s).size == 0
+    assert diff_xor(s, s).voxel_sum == 0
 
 
 def test_diff_single_voxel():
@@ -53,7 +53,7 @@ def test_diff_matches_dense_oracle():
         b = random_structure(rng, 8)
         d = diff_xor(a, b)
         expected = a.to_dense() ^ b.to_dense()
-        assert np.array_equal(d.structure().to_dense(), expected)
+        assert np.array_equal(d.to_dense(), expected)
 
 
 # --- label_components -------------------------------------------------------
@@ -140,8 +140,8 @@ def test_threshold_is_strict():
     s = planted_components([150])
     d = diff_xor(make_sparse([], 16), s)
     cs = label_components(d, 26)
-    assert select_components(cs, Threshold(150)).size == 0
-    assert select_components(cs, Threshold(149)).size == 150
+    assert select_components(cs, Threshold(150)).voxel_sum == 0
+    assert select_components(cs, Threshold(149)).voxel_sum == 150
 
 
 def test_topk_takes_largest():
@@ -169,7 +169,7 @@ def test_topk_overshoot_selects_all():
     s = planted_components([150, 12])
     d = diff_xor(make_sparse([], 16), s)
     cs = label_components(d, 26)
-    assert select_components(cs, TopK(99)).size == 162
+    assert select_components(cs, TopK(99)).voxel_sum == 162
 
 
 def test_mask_monotone_in_tau():
@@ -231,7 +231,7 @@ def test_flip_matches_per_voxel_oracle():
 
 def mask_dense(mask, resolution):
     grid = np.zeros((resolution,) * 3, dtype=bool)
-    if mask.size:
+    if mask.voxel_sum:
         grid[mask.coords[:, 0], mask.coords[:, 1], mask.coords[:, 2]] = True
     return grid
 
@@ -244,7 +244,7 @@ def test_merge_identical_inputs():
     s = random_structure(rng, 8)
     merged, mask = voxel_merge(s, s)
     assert merged == s
-    assert mask.size == 0
+    assert mask.voxel_sum == 0
 
 
 def test_merge_planted_blob_with_specks():

@@ -120,7 +120,7 @@ def test_merge_outputs_always_report_perfect_consistency():
         report = region_consistency(src, tgt, merged, mask)
         assert report.outside_mask_iou == 1.0
         assert report.inside_mask_match_fraction == 1.0
-        assert report.mask_size == mask.size
+        assert report.mask_size == mask.voxel_sum
         assert report.ok()
 
 
@@ -148,7 +148,7 @@ def test_corruption_inside_mask_detected():
     src = make_sparse([(0, 0, 0)], 8)
     tgt = make_sparse([(0, 0, 0), (4, 4, 4)], 8)
     merged, mask = voxel_merge(src, tgt, policy=Threshold(0))
-    assert mask.size == 1
+    assert mask.voxel_sum == 1
     # drop the transferred voxel: inside-mask occupancy now disagrees with target
     broken = make_sparse([(0, 0, 0)], 8)
     report = region_consistency(src, tgt, broken, mask)
@@ -164,7 +164,7 @@ def test_planted_fault_flags_exactly_the_corrupted_side():
         merged, mask = voxel_merge(src, tgt, policy=Threshold(2))
         grid = merged.to_dense()
         mask_set = set(map(tuple, mask.coords.tolist()))
-        inside = rng.random() < 0.5 and mask.size > 0
+        inside = rng.random() < 0.5 and mask.voxel_sum > 0
         pool = [c for c in map(tuple, np.ndindex(8, 8, 8)) if (c in mask_set) == inside]
         victim = pool[int(rng.integers(len(pool)))]
         grid[victim] = not grid[victim]

@@ -201,7 +201,7 @@ def test_mock_generator_edit_token_plants_changes():
     s_base, _ = gen.generate("img-token", seed=5)
     s_edit, _ = gen.generate("img-token::edit::deadbeef", seed=5)
     d = diff_xor(s_base, s_edit)
-    assert d.size > 0
+    assert d.voxel_sum > 0
 
 
 def test_derive_seed_is_stable():
