@@ -12,6 +12,7 @@ from .errors import (
     EmptyBounds,
     EmptySet,
     EmptySlot,
+    GridTooLarge,
     InstructionError,
     MalformedNvx,
     MissingLatent,

@@ -116,7 +116,7 @@ def cmd_diff(args) -> int:
 
 def cmd_components(args) -> int:
     cs = label_components(_read_structure(args.input), args.connectivity)
-    _emit({"connectivity": cs.connectivity, "count": len(cs.components), "sizes": cs.sizes})
+    _emit({"connectivity": cs.connectivity, "count": len(cs.sizes), "sizes": cs.sizes})
     return 0
 
 

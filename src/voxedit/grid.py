@@ -6,6 +6,7 @@ total order is used everywhere: sorting, tie-breaking, and serialization.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +21,10 @@ MAX_RESOLUTION = 0xFFFF  # coords are stored as u16
 
 
 def check_resolution(resolution: int) -> int:
-    resolution = int(resolution)
-    if not 2 <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}], got {resolution}")
-    return resolution
+    # it may come from a file: a non-integer raises instead of being truncated
+    if not isinstance(resolution, numbers.Integral) or not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be an integer in [2, {MAX_RESOLUTION}], got {resolution!r}")
+    return int(resolution)
 
 
 def linear_index(coords: np.ndarray, resolution: int) -> np.ndarray:

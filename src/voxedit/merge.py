@@ -8,18 +8,19 @@ target's latents and everything else keeps the source's bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import ChannelMismatch, MissingLatent
+from .errors import ChannelMismatch, GridTooLarge, MissingLatent
 from .grid import (
     SparseStructure,
     StructuredLatent,
     _freeze,
     coords_from_linear,
-    linear_index,
     membership,
     require_same_resolution,
     sparse_from_linear,
@@ -28,6 +29,9 @@ from .grid import (
 CONNECTIVITIES = (6, 18, 26)
 DEFAULT_CONNECTIVITY = 26
 DEFAULT_TAU = 100
+
+# cap on the dense labelling box: 256^3 cells, ~80 MiB of bool plus int32 labels
+_LABEL_MAX_CELLS = 1 << 24
 
 # scipy structuring elements: rank 1 = faces, 2 = faces+edges, 3 = all 26
 _STRUCTURE = {
@@ -71,11 +75,17 @@ class ComponentSet:
 
     resolution: int
     connectivity: int
-    components: tuple  # of (N_j, 3) coord arrays, each sorted by linear index
+    coords: np.ndarray = field(repr=False)  # (N, 3) uint16: the labelled structure's, in linear order
+    rank: np.ndarray = field(repr=False)    # (N,) canonical position of each voxel's component
+    sizes: list  # of int, in canonical order
 
     @property
-    def sizes(self) -> list[int]:
-        return [int(c.shape[0]) for c in self.components]
+    def components(self) -> tuple:
+        """One ``(N_j, 3)`` array per component, each in linear order."""
+        if not self.sizes:
+            return ()
+        grouped = self.coords[np.argsort(self.rank, kind="stable")]
+        return tuple(_freeze(c) for c in np.split(grouped, np.cumsum(self.sizes)[:-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,28 +113,29 @@ def label_components(d: SparseStructure, connectivity: int = DEFAULT_CONNECTIVIT
 
     Components come back ordered by size descending, then by smallest
     member linear index ascending; voxels within a component stay in
-    canonical linear order.
+    canonical linear order.  A bounding box of more than
+    ``_LABEL_MAX_CELLS`` cells raises :class:`GridTooLarge`.
     """
     if connectivity not in _STRUCTURE:
         raise ValueError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
     if d.voxel_sum == 0:
-        return ComponentSet(resolution=d.resolution, connectivity=connectivity, components=())
+        return ComponentSet(d.resolution, connectivity, d.coords, np.empty(0, dtype=np.int64), [])
 
-    grid = d.to_dense()
-    labeled, n_labels = ndimage.label(grid, structure=_STRUCTURE[connectivity])
-    # coords are already in ascending linear order; a stable sort by label
-    # leaves each component's voxels in that order
-    labels = labeled[d.coords[:, 0], d.coords[:, 1], d.coords[:, 2]]
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=n_labels + 1)[1:]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-
-    pieces = [d.coords[order[starts[j]:starts[j + 1]]] for j in range(n_labels)]
-    lin = d.linear()
-    first_lin = [int(lin[order[starts[j]]]) for j in range(n_labels)]
-    rank = sorted(range(n_labels), key=lambda j: (-int(sizes[j]), first_lin[j]))
-    components = tuple(_freeze(np.ascontiguousarray(pieces[j])) for j in rank)
-    return ComponentSet(resolution=d.resolution, connectivity=connectivity, components=components)
+    lo = d.coords.min(axis=0)
+    shape = tuple(int(v) for v in d.coords.max(axis=0) - lo + 1)
+    if math.prod(shape) > _LABEL_MAX_CELLS:
+        raise GridTooLarge(f"labelling box {shape} exceeds {_LABEL_MAX_CELLS} cells")
+    local = tuple((d.coords - lo).T)
+    grid = np.zeros(shape, dtype=bool)
+    grid[local] = True
+    labeled, _ = ndimage.label(grid, structure=_STRUCTURE[connectivity])
+    labels = labeled[local] - 1
+    # every label occurs, so first[j] is the position of label j's first voxel
+    _, first = np.unique(labels, return_index=True)
+    sizes = np.bincount(labels)
+    canonical = np.lexsort((first, -sizes))
+    position = np.argsort(canonical)  # inverse permutation: label -> canonical position
+    return ComponentSet(d.resolution, connectivity, d.coords, position[labels], sizes[canonical].tolist())
 
 
 def select_components(cs: ComponentSet, policy) -> FlipMask:
@@ -133,24 +144,19 @@ def select_components(cs: ComponentSet, policy) -> FlipMask:
     ``TopK(k)`` takes the first k components in canonical order; a k past
     the component count takes them all.  ``Threshold(tau)`` takes every
     component strictly larger than tau voxels, ignoring small noisy
-    regions.
+    regions.  Sizes descend, so either policy takes a prefix of the
+    canonical order, and the prefix's voxels are already in linear order.
     """
     if isinstance(policy, TopK):
-        chosen = cs.components[: policy.k]
+        n = min(policy.k, len(cs.sizes))
     elif isinstance(policy, Threshold):
-        chosen = tuple(c for c in cs.components if c.shape[0] > policy.tau)
+        n = bisect_left(cs.sizes, -policy.tau, key=lambda s: -s)
     else:
         raise TypeError(f"unknown selection policy {policy!r}")
-
-    if chosen:
-        lin = np.sort(linear_index(np.concatenate(chosen, axis=0), cs.resolution))
-        coords = coords_from_linear(lin, cs.resolution)
-    else:
-        coords = np.empty((0, 3), dtype=np.uint16)
     return FlipMask(
         resolution=cs.resolution,
-        coords=_freeze(coords),
-        selected_sizes=tuple(int(c.shape[0]) for c in chosen),
+        coords=_freeze(cs.coords[cs.rank < n]),
+        selected_sizes=tuple(cs.sizes[:n]),
         component_sizes=tuple(cs.sizes),
     )
 

@@ -13,13 +13,13 @@ import abc
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySlot, InstructionError, MissingSlot, SlotSyntaxError, UnknownAction
-from .grid import SparseStructure, StructuredLatent, make_latent
+from .errors import ChannelMismatch, EmptySlot, InstructionError, MissingSlot, SlotSyntaxError, UnknownAction
+from .grid import SparseStructure, StructuredLatent, _freeze
 from .merge import DEFAULT_CONNECTIVITY, Threshold, slat_merge, voxel_merge
 from .nvx import write_nvx
 
@@ -112,27 +112,6 @@ def parse_instruction(text: str) -> EditInstruction:
 
 # --- manifest records -----------------------------------------------------
 
-_RECORD_FIELDS = (
-    "id",
-    "status",
-    "attempt",
-    "instruction",
-    "source_image",
-    "edited_image",
-    "source_structure",
-    "edited_structure",
-    "merged_structure",
-    "source_slat",
-    "merged_slat",
-    "voxel_sum_src",
-    "voxel_sum_tgt",
-    "mask_component_sizes",
-    "mask_selected_sizes",
-    "policy",
-    "filter_reason",
-    "error",
-)
-
 STATUSES = ("ok", "filtered", "failed")
 
 
@@ -182,6 +161,10 @@ class ManifestRecord:
             known["instruction"] = EditInstruction.from_json_dict(known["instruction"])
         extra = {k: v for k, v in obj.items() if k not in _RECORD_FIELDS}
         return cls(**known, extra=extra)
+
+
+# manifest key order: the declared fields, with ``extra`` spread after them
+_RECORD_FIELDS = tuple(f.name for f in fields(ManifestRecord) if f.name != "extra")
 
 
 @dataclass(frozen=True)
@@ -336,6 +319,8 @@ class MockGeneratorBackend(GeneratorBackend):
         return grid
 
     def generate(self, image_ref: str, seed: int) -> tuple[SparseStructure, StructuredLatent]:
+        if self.channels < 1:
+            raise ChannelMismatch("latent channel count must be >= 1")
         base_token, sep, digest = image_ref.partition("::edit::")
         grid = self._base_grid(base_token)
         if sep:
@@ -343,7 +328,8 @@ class MockGeneratorBackend(GeneratorBackend):
         structure = SparseStructure.from_dense(grid)
         lat_rng = _rng(derive_seed("latents", image_ref, seed, self.channels))
         latents = lat_rng.standard_normal((structure.voxel_sum, self.channels)).astype(np.float32)
-        latent = make_latent(structure.coords, latents, structure.resolution)
+        # from_dense coords are already canonical; no need to sort them again
+        latent = StructuredLatent(structure.resolution, structure.coords, _freeze(latents))
         return structure, latent
 
 

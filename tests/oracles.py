@@ -2,14 +2,16 @@
 
 Everything here is deliberately written the slow, obvious way and shares
 no code with the package: dense brute force, BFS flood fill, scalar SAT,
-quadratic scans, and the per-triangle and per-voxel loops the mesh layer
-used before it was vectorised.
+quadratic scans, the per-triangle and per-voxel loops the mesh layer used
+before it was vectorised, and the one-array-per-component labelling the
+merge layer used before its flat layout.
 """
 from __future__ import annotations
 
 from collections import deque
 
 import numpy as np
+from scipy import ndimage
 
 
 def dense_xor(grid_a: np.ndarray, grid_b: np.ndarray) -> np.ndarray:
@@ -62,6 +64,50 @@ def canonical_component_order(components: list[frozenset], resolution: int) -> l
         return min(x * resolution * resolution + y * resolution + z for x, y, z in comp)
 
     return sorted(components, key=lambda c: (-len(c), min_lin(c)))
+
+
+def label_components_sorted(coords: np.ndarray, resolution: int, connectivity: int) -> list[np.ndarray]:
+    """Labelling on the full dense R^3 grid, one array per component, ranked
+    with ``sorted`` by (size descending, smallest linear index ascending).
+    ``coords`` must be sorted by linear index; so is each returned array."""
+    if len(coords) == 0:
+        return []
+    grid = np.zeros((resolution,) * 3, dtype=bool)
+    grid[coords[:, 0], coords[:, 1], coords[:, 2]] = True
+    rank = {6: 1, 18: 2, 26: 3}[connectivity]
+    labeled, n_labels = ndimage.label(grid, structure=ndimage.generate_binary_structure(3, rank))
+    labels = labeled[coords[:, 0], coords[:, 1], coords[:, 2]]
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=n_labels + 1)[1:]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    pieces = [coords[order[starts[j]:starts[j + 1]]] for j in range(n_labels)]
+    lin = _linear(coords, resolution)
+    first_lin = [int(lin[order[starts[j]]]) for j in range(n_labels)]
+    ranked = sorted(range(n_labels), key=lambda j: (-int(sizes[j]), first_lin[j]))
+    return [np.ascontiguousarray(pieces[j]) for j in ranked]
+
+
+def select_components_concat(components: list[np.ndarray], resolution: int, policy) -> tuple[np.ndarray, tuple]:
+    """Mask coords (sorted by linear index) and selected sizes for a
+    ``TopK``/``Threshold`` policy, read through its ``describe()``: the
+    chosen arrays are concatenated and sorted again."""
+    spec = policy.describe()
+    if spec["kind"] == "top_k":
+        chosen = components[: spec["k"]]
+    else:
+        chosen = [c for c in components if c.shape[0] > spec["tau"]]
+    coords = np.empty((0, 3), dtype=np.uint16)
+    if chosen:
+        lin = np.sort(_linear(np.concatenate(chosen, axis=0), resolution))
+        x, rem = np.divmod(lin, resolution * resolution)
+        y, z = np.divmod(rem, resolution)
+        coords = np.stack([x, y, z], axis=1).astype(np.uint16)
+    return coords, tuple(int(c.shape[0]) for c in chosen)
+
+
+def _linear(coords: np.ndarray, resolution: int) -> np.ndarray:
+    c = coords.astype(np.int64)
+    return (c[:, 0] * resolution + c[:, 1]) * resolution + c[:, 2]
 
 
 def merge_oracle(src_grid: np.ndarray, tgt_grid: np.ndarray, mask_grid: np.ndarray) -> np.ndarray:

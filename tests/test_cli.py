@@ -245,14 +245,16 @@ def test_consistency_rejects_fractional_mask_coords(tmp_path, capsys):
     src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=76)
     write_nvx(src, tmp_path / "m.nvx")
     mask_path = tmp_path / "mask.json"
-    mask_path.write_text(json.dumps({"resolution": 16, "coords": [[2.9, 0, 0]]}))
-    code, stdout, stderr = run_cli(
-        capsys, "consistency", "--src", str(src_path), "--tgt", str(tgt_path),
-        "--merged", str(tmp_path / "m.nvx"), "--mask", str(mask_path),
-    )
-    assert code == 1
-    assert stdout == ""
-    assert stderr.startswith("error:")
+    for mask in ({"resolution": 16, "coords": [[2.9, 0, 0]]},
+                 {"resolution": 16.9, "coords": [[2, 0, 0]]}):
+        mask_path.write_text(json.dumps(mask))
+        code, stdout, stderr = run_cli(
+            capsys, "consistency", "--src", str(src_path), "--tgt", str(tgt_path),
+            "--merged", str(tmp_path / "m.nvx"), "--mask", str(mask_path),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:")
 
 
 def test_pipeline_run_command(tmp_path, capsys):

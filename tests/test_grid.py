@@ -44,6 +44,9 @@ def test_resolution_range():
     with pytest.raises(ValueError):
         make_sparse([], 0x10000)  # coords are stored as u16
     make_sparse([], 0xFFFF)
+    for not_an_integer in (16.9, "16"):  # never truncated or parsed
+        with pytest.raises(ValueError):
+            make_sparse([], not_an_integer)
 
 
 def test_linear_index_round_trip():

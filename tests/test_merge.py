@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from voxedit import (
     ChannelMismatch,
+    GridTooLarge,
     MissingLatent,
     ResolutionMismatch,
     Threshold,
@@ -16,9 +19,17 @@ from voxedit import (
     slat_merge,
     voxel_merge,
 )
-from voxedit.merge import mask_all
+from voxedit import merge
+from voxedit.merge import CONNECTIVITIES, mask_all
 
-from oracles import bfs_components, canonical_component_order, merge_oracle, random_structure_coords
+from oracles import (
+    bfs_components,
+    canonical_component_order,
+    label_components_sorted,
+    merge_oracle,
+    random_structure_coords,
+    select_components_concat,
+)
 
 
 def random_structure(rng, resolution, density=None):
@@ -103,6 +114,51 @@ def test_component_order_size_then_min_linear_index():
     assert cs.sizes == [2, 2, 1]
     assert cs.components[0][0].tolist() == [0, 0, 0]
     assert cs.components[1][0].tolist() == [5, 5, 5]
+
+
+def test_label_cap_bounds_the_dense_box(monkeypatch):
+    monkeypatch.setattr(merge, "_LABEL_MAX_CELLS", 8)
+    with pytest.raises(GridTooLarge):
+        label_components(make_sparse([(0, 0, 0), (15, 15, 15)], 16))
+    assert label_components(make_sparse([(7, 7, 7), (7, 7, 8)], 16)).sizes == [2]
+
+
+def test_label_memory_follows_the_diff_extent():
+    # the full 256^3 grid would take ~80 MiB of bool plus int32 labels
+    d = make_sparse([(100, 100, 100), (100, 100, 101)], 256)
+    tracemalloc.start()
+    try:
+        cs = label_components(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cs.sizes == [2]
+    assert peak < 1 << 20
+
+
+def test_flat_layout_matches_sorted_reference():
+    rng = np.random.default_rng(43)
+    structures = [random_structure(rng, 16, density) for density in (0.02, 0.1, 0.3, 0.6)]
+    structures += [
+        make_sparse([], 16),
+        # equal sizes: pairs and singletons placed against their linear order
+        make_sparse([(9, 9, 9), (9, 9, 10), (0, 0, 5), (0, 0, 6), (4, 0, 0), (4, 1, 0),
+                     (12, 3, 3), (2, 2, 2), (15, 15, 15)], 16),
+    ]
+    for d in structures:
+        for connectivity in CONNECTIVITIES:
+            cs = label_components(d, connectivity)
+            want = label_components_sorted(d.coords, 16, connectivity)
+            assert cs.sizes == [len(c) for c in want]
+            assert [(c.dtype, c.shape, c.tobytes()) for c in cs.components] == [
+                (c.dtype, c.shape, c.tobytes()) for c in want]
+            for policy in (TopK(0), TopK(1), TopK(3), TopK(len(want) + 5),
+                           Threshold(0), Threshold(1), Threshold(2), Threshold(100)):
+                mask = select_components(cs, policy)
+                coords, selected = select_components_concat(want, 16, policy)
+                assert mask.selected_sizes == selected
+                assert (mask.coords.dtype, mask.coords.shape, mask.coords.tobytes()) == (
+                    coords.dtype, coords.shape, coords.tobytes())
 
 
 # --- select_components --------------------------------------------------------
