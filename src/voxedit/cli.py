@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import VoxeditError
 from .flow import FlowEditConfig, euler_sample, flowedit_run, make_analytic_oracle
-from .grid import SparseStructure, StructuredLatent, make_sparse
+from .grid import SparseStructure, StructuredLatent, _keyed, make_sparse
 from .merge import (
     CONNECTIVITIES,
     DEFAULT_CONNECTIVITY,
@@ -35,14 +35,29 @@ from .nvx import inspect_nvx, read_nvx, write_nvx
 from .pipeline import mock_backend_suite, run_pipeline
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat_json(value) -> str:
+    """A scalar or flat scalar list as ``json.dump(indent=2)`` writes it one
+    level down, on json's C encoder (an indent runs the pure-Python one)."""
+    text = json.dumps(value, separators=(",\n    ", ":"))
+    return "[\n    " + text[1:-1] + "\n  ]" if type(value) is list and value else text
+
+
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=False)
+    if type(obj) is dict and all(type(k) is str and set(map(type, v if type(v) is list else (v,))) <= _SCALARS
+                                 for k, v in obj.items()):
+        body = ",\n".join(f"  {json.dumps(k)}: {_flat_json(v)}" for k, v in obj.items())
+        sys.stdout.write("{\n" + body + "\n}" if obj else "{}")
+    else:
+        json.dump(obj, sys.stdout, indent=2, sort_keys=False)
     sys.stdout.write("\n")
 
 
 def _read_structure(path) -> SparseStructure:
     payload = read_nvx(path)
-    if not isinstance(payload, SparseStructure):
+    if isinstance(payload, StructuredLatent):  # a SparseStructure too
         raise VoxeditError(f"{path} holds a latent payload, expected occupancy")
     return payload
 
@@ -67,9 +82,9 @@ def _mask_report(mask: FlipMask, policy, connectivity: int) -> dict:
 
 def _mask_from_report(obj: dict) -> FlipMask:
     s = make_sparse(obj["coords"], obj["resolution"])
-    return FlipMask(resolution=s.resolution, coords=s.coords,
-                    selected_sizes=tuple(obj.get("selected_sizes", ())),
-                    component_sizes=tuple(obj.get("component_sizes", ())))
+    return _keyed(FlipMask(resolution=s.resolution, coords=s.coords,
+                           selected_sizes=tuple(obj.get("selected_sizes", ())),
+                           component_sizes=tuple(obj.get("component_sizes", ()))), s.linear())
 
 
 def _policy_from_args(args):
@@ -88,10 +103,7 @@ def _vector(text: str) -> np.ndarray:
 
 def cmd_voxelize(args) -> int:
     mesh = load_obj(args.mesh)
-    bounds = None
-    if args.bounds is not None:
-        b = args.bounds
-        bounds = ((b[0], b[1], b[2]), (b[3], b[4], b[5]))
+    bounds = None if args.bounds is None else (args.bounds[:3], args.bounds[3:])
     s = voxelize_mesh(mesh, args.resolution, bounds)
     write_nvx(s, args.out)
     _emit({"out": str(args.out), "resolution": s.resolution, "voxel_sum": s.voxel_sum})
@@ -377,10 +389,7 @@ def dispatch(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VoxeditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VoxeditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

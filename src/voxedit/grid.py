@@ -96,13 +96,15 @@ class SparseStructure:
         return int(self.coords.shape[0])
 
     def linear(self) -> np.ndarray:
-        return linear_index(self.coords, self.resolution)
+        """Sorted int64 linear index of ``coords``, computed once; read-only."""
+        if "_linear" not in self.__dict__:
+            _keyed(self, linear_index(self.coords, self.resolution))
+        return self.__dict__["_linear"]
 
     def to_dense(self) -> np.ndarray:
         """Dense boolean occupancy grid of shape ``(R, R, R)``."""
         grid = np.zeros((self.resolution,) * 3, dtype=bool)
-        if self.voxel_sum:
-            grid[self.coords[:, 0], self.coords[:, 1], self.coords[:, 2]] = True
+        grid[self.coords[:, 0], self.coords[:, 1], self.coords[:, 2]] = True
         return grid
 
     @classmethod
@@ -111,15 +113,21 @@ class SparseStructure:
         if grid.ndim != 3 or len(set(grid.shape)) != 1:
             raise ValueError(f"expected a cubic (R, R, R) grid, got shape {grid.shape}")
         r = check_resolution(grid.shape[0])
-        # nonzero() walks the array in C order == ascending linear index
-        x, y, z = np.nonzero(grid)
-        coords = np.stack([x, y, z], axis=1).astype(COORD_DTYPE)
-        return cls(resolution=r, coords=_freeze(coords))
+        # argwhere() walks the array in C order == ascending linear index
+        return cls(resolution=r, coords=_freeze(np.argwhere(grid).astype(COORD_DTYPE)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseStructure):
             return NotImplemented
-        return self.resolution == other.resolution and np.array_equal(self.coords, other.coords)
+        # a latent never equals a plain structure, whichever side it is on
+        return (isinstance(self, StructuredLatent) == isinstance(other, StructuredLatent)
+                and self.resolution == other.resolution and np.array_equal(self.coords, other.coords))
+
+
+def _keyed(s: SparseStructure, lin: np.ndarray) -> SparseStructure:
+    """Cache ``lin == linear_index(s.coords)`` as the key of ``s``, read-only."""
+    s.__dict__["_linear"] = _freeze(lin)
+    return s
 
 
 def make_sparse(coords, resolution: int = DEFAULT_RESOLUTION) -> SparseStructure:
@@ -130,48 +138,38 @@ def make_sparse(coords, resolution: int = DEFAULT_RESOLUTION) -> SparseStructure
     """
     resolution = check_resolution(resolution)
     lin = np.unique(linear_index(_parse_coords(coords, resolution), resolution))
-    return SparseStructure(resolution=resolution, coords=_freeze(coords_from_linear(lin, resolution)))
+    s = SparseStructure(resolution=resolution, coords=_freeze(coords_from_linear(lin, resolution)))
+    return _keyed(s, lin)
 
 
 def sparse_from_linear(lin: np.ndarray, resolution: int) -> SparseStructure:
-    """Build a structure from already-sorted, unique, in-range linear indices."""
+    """Build a structure from sorted, unique, in-range linear indices; they become its key."""
     lin = np.asarray(lin, dtype=np.int64)
-    return SparseStructure(resolution=int(resolution), coords=_freeze(coords_from_linear(lin, resolution)))
+    s = SparseStructure(resolution=int(resolution), coords=_freeze(coords_from_linear(lin, resolution)))
+    return _keyed(s, lin)
 
 
-@dataclass(frozen=True)
-class StructuredLatent:
+@dataclass(frozen=True, eq=False)
+class StructuredLatent(SparseStructure):
     """Occupied voxels, each carrying a C-channel latent vector.
 
-    ``coords`` follows the same canonical ordering as
-    :class:`SparseStructure`; ``latents[i]`` belongs to ``coords[i]``.
+    A :class:`SparseStructure` whose ``latents[i]`` belongs to
+    ``coords[i]``; it never compares equal to a plain structure.
     """
 
-    resolution: int
-    coords: np.ndarray = field(repr=False)   # (N, 3) uint16, sorted by linear index
     latents: np.ndarray = field(repr=False)  # (N, C) float32, finite
-
-    @property
-    def voxel_sum(self) -> int:
-        return int(self.coords.shape[0])
 
     @property
     def channels(self) -> int:
         return int(self.latents.shape[1])
 
-    def linear(self) -> np.ndarray:
-        return linear_index(self.coords, self.resolution)
-
     def structure(self) -> SparseStructure:
         return SparseStructure(resolution=self.resolution, coords=self.coords)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, StructuredLatent):
-            return NotImplemented
-        return (
-            self.resolution == other.resolution
-            and np.array_equal(self.coords, other.coords)
-            and self.latents.shape == other.latents.shape
+        same = super().__eq__(other)  # True only if other is a latent too
+        return same if same is not True else (
+            self.latents.shape == other.latents.shape
             # bitwise comparison, not value comparison
             and np.array_equal(self.latents.view(np.uint32), other.latents.view(np.uint32))
         )
@@ -200,11 +198,11 @@ def make_latent(coords, latents, resolution: int = DEFAULT_RESOLUTION) -> Struct
     if lin.size and (np.diff(lin) == 0).any():
         dup = coords_from_linear(lin[np.nonzero(np.diff(lin) == 0)[0][:1]], resolution)[0]
         raise ValueError(f"duplicate latent entry for voxel {tuple(int(c) for c in dup)}")
-    return StructuredLatent(
+    return _keyed(StructuredLatent(
         resolution=resolution,
         coords=_freeze(coords_from_linear(lin, resolution)),
         latents=_freeze(np.ascontiguousarray(lat[order])),
-    )
+    ), lin)
 
 
 def require_same_resolution(*objs) -> int:

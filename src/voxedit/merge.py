@@ -20,6 +20,7 @@ from .grid import (
     SparseStructure,
     StructuredLatent,
     _freeze,
+    _keyed,
     coords_from_linear,
     membership,
     require_same_resolution,
@@ -65,7 +66,7 @@ class Threshold:
         return {"kind": "threshold", "tau": self.tau}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentSet:
     """Connectivity components of a difference map, largest first.
 
@@ -100,11 +101,20 @@ class FlipMask(SparseStructure):
     component_sizes: tuple = ()
 
 
+def _xor_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.setxor1d(a, b, assume_unique=True)`` for sorted unique keys: the
+    stable sort (timsort for int64) merges the two runs in linear time."""
+    both = np.concatenate((a, b))
+    both.sort(kind="stable")
+    keep = np.ones(both.size + 1, dtype=bool)
+    np.not_equal(both[1:], both[:-1], out=keep[1:-1])
+    return both[keep[1:] & keep[:-1]]
+
+
 def diff_xor(s_src: SparseStructure, s_tgt: SparseStructure) -> SparseStructure:
     """Difference map: cells whose occupancy differs between the inputs."""
     resolution = require_same_resolution(s_src, s_tgt)
-    lin = np.setxor1d(s_src.linear(), s_tgt.linear(), assume_unique=True)
-    return sparse_from_linear(lin, resolution)
+    return sparse_from_linear(_xor_sorted(s_src.linear(), s_tgt.linear()), resolution)
 
 
 def label_components(d: SparseStructure, connectivity: int = DEFAULT_CONNECTIVITY) -> ComponentSet:
@@ -165,8 +175,7 @@ def apply_flip(s_src: SparseStructure, mask: FlipMask) -> SparseStructure:
     """Toggle occupancy exactly at the mask coords; everywhere else the
     source is untouched."""
     resolution = require_same_resolution(s_src, mask)
-    lin = np.setxor1d(s_src.linear(), mask.linear(), assume_unique=True)
-    return sparse_from_linear(lin, resolution)
+    return sparse_from_linear(_xor_sorted(s_src.linear(), mask.linear()), resolution)
 
 
 def voxel_merge(
@@ -194,11 +203,8 @@ def mask_all(merged: SparseStructure) -> FlipMask:
     """Escape-hatch mask covering every merged voxel, so a latent merge
     takes the full target side.  Useful for pure-appearance edits where
     the occupancy difference map is empty."""
-    return FlipMask(
-        resolution=merged.resolution,
-        coords=merged.coords,
-        selected_sizes=(merged.voxel_sum,),
-    )
+    mask = FlipMask(resolution=merged.resolution, coords=merged.coords, selected_sizes=(merged.voxel_sum,))
+    return _keyed(mask, merged.linear())
 
 
 def slat_merge(
@@ -228,4 +234,4 @@ def slat_merge(
         out[in_mask] = gather(z_tgt, out_lin[in_mask], "target")
     if (~in_mask).any():
         out[~in_mask] = gather(z_src, out_lin[~in_mask], "source")
-    return StructuredLatent(resolution=resolution, coords=merged.coords, latents=_freeze(out))
+    return _keyed(StructuredLatent(resolution=resolution, coords=merged.coords, latents=_freeze(out)), out_lin)

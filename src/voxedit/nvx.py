@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 
 from .errors import BadMagic, ChecksumMismatch, MalformedNvx, TruncatedFile, UnsupportedVersion
-from .grid import COORD_DTYPE, SparseStructure, StructuredLatent, _freeze, linear_index
+from .grid import COORD_DTYPE, LATENT_DTYPE, SparseStructure, StructuredLatent, _freeze, _keyed, linear_index
 
 MAGIC = b"NVX1"
 KIND_OCCUPANCY = 0
@@ -30,61 +31,65 @@ _CHANS = struct.Struct("<H")
 _CRC = struct.Struct("<I")
 
 
-def encode_nvx(payload) -> bytes:
-    if isinstance(payload, SparseStructure):
-        kind, channels = KIND_OCCUPANCY, None
-    elif isinstance(payload, StructuredLatent):
-        kind, channels = KIND_LATENT, payload.channels
+def _chunks(payload) -> list:
+    """The file's parts in order, with no staging copy: header, coords,
+    latents (latent kind only) and the CRC chained over them."""
+    # a latent is a SparseStructure too, so it must be tested first
+    if isinstance(payload, StructuredLatent):
+        kind, chans = KIND_LATENT, _CHANS.pack(payload.channels)
+    elif isinstance(payload, SparseStructure):
+        kind, chans = KIND_OCCUPANCY, b""
     else:
         raise TypeError(f"cannot encode {type(payload).__name__}")
+    parts = [MAGIC + _HEADER.pack(kind, payload.resolution, payload.voxel_sum) + chans,
+             np.ascontiguousarray(payload.coords, dtype="<u2")]
+    if kind == KIND_LATENT:
+        parts.append(np.ascontiguousarray(payload.latents, dtype="<f4"))
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return parts + [_CRC.pack(crc)]
 
-    buf = bytearray(MAGIC)
-    buf += _HEADER.pack(kind, payload.resolution, payload.voxel_sum)
-    if kind == KIND_LATENT:
-        buf += _CHANS.pack(channels)
-    buf += np.ascontiguousarray(payload.coords, dtype="<u2").tobytes()
-    if kind == KIND_LATENT:
-        buf += np.ascontiguousarray(payload.latents, dtype="<f4").tobytes()
-    buf += _CRC.pack(zlib.crc32(bytes(buf)))
-    return bytes(buf)
+
+def encode_nvx(payload) -> bytes:
+    return b"".join(_chunks(payload))
 
 
 def decode_nvx(data: bytes):
+    """Check and decode one NVX file.  Where the dtype already matches,
+    coords and latents are read-only views of ``data``, not copies."""
     if len(data) < len(MAGIC):
         raise TruncatedFile(f"{len(data)} bytes is too short for a header")
-    if data[:4] != MAGIC:
-        if data[:3] == MAGIC[:3]:
-            raise UnsupportedVersion(f"unsupported format version {data[3:4]!r}")
-        raise BadMagic(f"bad magic {data[:4]!r}")
+    magic = bytes(data[:4])
+    if magic != MAGIC:
+        if magic[:3] == MAGIC[:3]:
+            raise UnsupportedVersion(f"unsupported format version {magic[3:4]!r}")
+        raise BadMagic(f"bad magic {magic!r}")
     if len(data) < 4 + _HEADER.size + _CRC.size:
         raise TruncatedFile(f"{len(data)} bytes is too short for a header")
 
     kind, resolution, count = _HEADER.unpack_from(data, 4)
-    offset = 4 + _HEADER.size
+    offset, channels = 4 + _HEADER.size, 0
     if kind == KIND_LATENT:
         if len(data) < offset + _CHANS.size + _CRC.size:
             raise TruncatedFile("file ends inside the channel field")
         (channels,) = _CHANS.unpack_from(data, offset)
         offset += _CHANS.size
-        payload_size = count * 3 * 2 + count * channels * 4
-    elif kind == KIND_OCCUPANCY:
-        channels = None
-        payload_size = count * 3 * 2
-    else:
+    elif kind != KIND_OCCUPANCY:
         raise MalformedNvx(f"unknown payload kind {kind}")
 
-    expected = offset + payload_size + _CRC.size
+    expected = offset + count * (3 * 2 + channels * 4) + _CRC.size
     if len(data) < expected:
         raise TruncatedFile(f"expected {expected} bytes, got {len(data)}")
     if len(data) > expected:
         raise MalformedNvx(f"{len(data) - expected} trailing bytes after checksum")
 
     (stored_crc,) = _CRC.unpack_from(data, expected - _CRC.size)
-    if zlib.crc32(data[: expected - _CRC.size]) != stored_crc:
+    if zlib.crc32(memoryview(data)[: expected - _CRC.size]) != stored_crc:
         raise ChecksumMismatch("payload does not match stored CRC32")
 
     coords = np.frombuffer(data, dtype="<u2", count=count * 3, offset=offset)
-    coords = coords.reshape(count, 3).astype(COORD_DTYPE)
+    coords = _freeze(coords.reshape(count, 3).astype(COORD_DTYPE, copy=False))
     if count and int(coords.max()) >= resolution:
         raise MalformedNvx("coordinate out of bounds for stored resolution")
     lin = linear_index(coords, resolution)
@@ -94,31 +99,30 @@ def decode_nvx(data: bytes):
         raise MalformedNvx(f"resolution {resolution} below minimum")
 
     if kind == KIND_OCCUPANCY:
-        return SparseStructure(resolution=resolution, coords=_freeze(coords))
+        return _keyed(SparseStructure(resolution=resolution, coords=coords), lin)
 
     if channels < 1:
         raise MalformedNvx("latent channel count must be >= 1")
     lat = np.frombuffer(data, dtype="<f4", count=count * channels, offset=offset + count * 3 * 2)
-    lat = np.ascontiguousarray(lat.reshape(count, channels))
+    lat = _freeze(lat.reshape(count, channels).astype(LATENT_DTYPE, copy=False))
     if not np.isfinite(lat).all():
         raise MalformedNvx("non-finite latent values")
-    return StructuredLatent(resolution=resolution, coords=_freeze(coords), latents=_freeze(lat))
+    return _keyed(StructuredLatent(resolution=resolution, coords=coords, latents=lat), lin)
 
 
 def write_nvx(payload, path) -> None:
+    chunks = _chunks(payload)
     with open(path, "wb") as fh:
-        fh.write(encode_nvx(payload))
+        fh.writelines(chunks)
 
 
 def read_nvx(path):
-    with open(path, "rb") as fh:
-        return decode_nvx(fh.read())
+    return decode_nvx(Path(path).read_bytes())
 
 
 def inspect_nvx(path) -> dict:
     """Decode a file and summarize its header fields."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     payload = decode_nvx(data)
     info = {
         "path": str(path),

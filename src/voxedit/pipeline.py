@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChannelMismatch, EmptySlot, InstructionError, MissingSlot, SlotSyntaxError, UnknownAction
-from .grid import SparseStructure, StructuredLatent, _freeze
+from .grid import SparseStructure, StructuredLatent, _freeze, _keyed
 from .merge import DEFAULT_CONNECTIVITY, Threshold, slat_merge, voxel_merge
 from .nvx import write_nvx
 
@@ -93,20 +93,17 @@ def parse_instruction(text: str) -> EditInstruction:
     The two-slot grammars split on the last occurrence of their separator
     phrase, matching the render-side constraint on the trailing slot.
     """
-    if text.startswith("Add "):
-        body = text[len("Add "):]
-        head, sep, tail = body.rpartition(" to ")
+    for action, names in ACTION_SLOTS.items():
+        prefix = action.capitalize() + " "
+        if not text.startswith(prefix):
+            continue
+        body = text[len(prefix):]
+        if action not in _TRAILING_SEPARATOR:
+            return render_instruction(action, {names[0]: body})
+        head, sep, tail = body.rpartition(_TRAILING_SEPARATOR[action][0])
         if not sep:
-            raise InstructionError(f"cannot parse add instruction {text!r}")
-        return render_instruction("add", {"element": head, "location": tail})
-    if text.startswith("Remove "):
-        return render_instruction("remove", {"target": text[len("Remove "):]})
-    if text.startswith("Replace "):
-        body = text[len("Replace "):]
-        head, sep, tail = body.rpartition(" with ")
-        if not sep:
-            raise InstructionError(f"cannot parse replace instruction {text!r}")
-        return render_instruction("replace", {"original": head, "replacement": tail})
+            raise InstructionError(f"cannot parse {action} instruction {text!r}")
+        return render_instruction(action, {names[0]: head, names[1]: tail})
     raise InstructionError(f"no instruction grammar matches {text!r}")
 
 
@@ -144,15 +141,10 @@ class ManifestRecord:
             raise ValueError("attempt must be >= 1")
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for name in _RECORD_FIELDS:
-            value = getattr(self, name)
-            if name == "instruction" and value is not None:
-                value = value.to_json_dict()
-            out[name] = value
-        for key in sorted(self.extra):
-            out[key] = self.extra[key]
-        return out
+        out = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        if self.instruction is not None:
+            out["instruction"] = self.instruction.to_json_dict()
+        return out | {key: self.extra[key] for key in sorted(self.extra)}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ManifestRecord":
@@ -251,6 +243,8 @@ _ELEMENTS = ("a red hat", "a small flag", "a round window", "a side pouch", "an 
 _LOCATIONS = ("the roof", "the left arm", "the front panel", "the top edge", "the base")
 _TARGETS = ("the left wing", "the rear fin", "the small handle", "the top spike", "the side plate")
 _REPLACEMENTS = ("a torch", "a shield", "a wooden beam", "a glass dome", "a short mast")
+# the pool each slot is drawn from, in ACTION_SLOTS order
+_SLOT_POOLS = {"add": (_ELEMENTS, _LOCATIONS), "remove": (_TARGETS,), "replace": (_TARGETS, _REPLACEMENTS)}
 
 
 class MockInstructionBackend(InstructionBackend):
@@ -259,14 +253,7 @@ class MockInstructionBackend(InstructionBackend):
     def propose(self, image_ref: str, seed: int) -> EditInstruction:
         rng = _rng(derive_seed("instruction", image_ref, seed))
         action = ("add", "remove", "replace")[rng.integers(3)]
-        if action == "add":
-            slots = {"element": _ELEMENTS[rng.integers(len(_ELEMENTS))],
-                     "location": _LOCATIONS[rng.integers(len(_LOCATIONS))]}
-        elif action == "remove":
-            slots = {"target": _TARGETS[rng.integers(len(_TARGETS))]}
-        else:
-            slots = {"original": _TARGETS[rng.integers(len(_TARGETS))],
-                     "replacement": _REPLACEMENTS[rng.integers(len(_REPLACEMENTS))]}
+        slots = {name: pool[rng.integers(len(pool))] for name, pool in zip(ACTION_SLOTS[action], _SLOT_POOLS[action])}
         return render_instruction(action, slots)
 
 
@@ -328,9 +315,9 @@ class MockGeneratorBackend(GeneratorBackend):
         structure = SparseStructure.from_dense(grid)
         lat_rng = _rng(derive_seed("latents", image_ref, seed, self.channels))
         latents = lat_rng.standard_normal((structure.voxel_sum, self.channels)).astype(np.float32)
-        # from_dense coords are already canonical; no need to sort them again
+        # from_dense coords are already canonical: no need to sort them again, and they share one key
         latent = StructuredLatent(structure.resolution, structure.coords, _freeze(latents))
-        return structure, latent
+        return structure, _keyed(latent, structure.linear())
 
 
 class MockFilterBackend(FilterBackend):
@@ -429,22 +416,16 @@ def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt) -> Ma
         merged_slat = slat_merge(z_src, z_tgt, mask, merged)
 
         stage = "write_artifacts"
-        paths = {
-            "source_structure": f"{sample.id}.src.nvx",
-            "edited_structure": f"{sample.id}.tgt.nvx",
-            "merged_structure": f"{sample.id}.merged.nvx",
-            "source_slat": f"{sample.id}.src_slat.nvx",
-            "merged_slat": f"{sample.id}.merged_slat.nvx",
-        }
-        for name, payload in (
-            ("source_structure", s_src),
-            ("edited_structure", s_tgt),
-            ("merged_structure", merged),
-            ("source_slat", z_src),
-            ("merged_slat", merged_slat),
+        for name, suffix, payload in (
+            ("source_structure", "src", s_src),
+            ("edited_structure", "tgt", s_tgt),
+            ("merged_structure", "merged", merged),
+            ("source_slat", "src_slat", z_src),
+            ("merged_slat", "merged_slat", merged_slat),
         ):
-            write_nvx(payload, out_dir / paths[name])
-            setattr(record, name, paths[name])
+            path = f"{sample.id}.{suffix}.nvx"
+            write_nvx(payload, out_dir / path)
+            setattr(record, name, path)
         record.voxel_sum_src = s_src.voxel_sum
         record.voxel_sum_tgt = s_tgt.voxel_sum
         record.mask_component_sizes = list(mask.component_sizes)

@@ -3,11 +3,14 @@
 Everything here is deliberately written the slow, obvious way and shares
 no code with the package: dense brute force, BFS flood fill, scalar SAT,
 quadratic scans, the per-triangle and per-voxel loops the mesh layer used
-before it was vectorised, and the one-array-per-component labelling the
-merge layer used before its flat layout.
+before it was vectorised, the one-array-per-component labelling the
+merge layer used before its flat layout, and the NVX codec that staged
+whole files in copied buffers before the codec streamed its parts.
 """
 from __future__ import annotations
 
+import struct
+import zlib
 from collections import deque
 
 import numpy as np
@@ -289,3 +292,77 @@ def random_structure_coords(rng, resolution, density) -> np.ndarray:
     x, rem = np.divmod(lin, resolution * resolution)
     y, z = np.divmod(rem, resolution)
     return np.stack([x, y, z], axis=1)
+
+
+def encode_nvx_staged(resolution: int, coords: np.ndarray, latents: np.ndarray | None = None) -> bytes:
+    """The NVX encoder before streaming: the whole file in one bytearray,
+    copied once for the CRC and again to return it.  ``latents is None``
+    writes the occupancy kind (0), anything else the latent kind (1)."""
+    kind = 0 if latents is None else 1
+    buf = bytearray(b"NVX1")
+    buf += struct.pack("<BHI", kind, resolution, len(coords))
+    if kind == 1:
+        buf += struct.pack("<H", latents.shape[1])
+    buf += np.ascontiguousarray(coords, dtype="<u2").tobytes()
+    if kind == 1:
+        buf += np.ascontiguousarray(latents, dtype="<f4").tobytes()
+    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
+    return bytes(buf)
+
+
+class NvxReject(Exception):
+    """Raised by :func:`decode_nvx_copying`: ``args`` are the name of the
+    library's error type for the defect and its message."""
+
+
+def decode_nvx_copying(data: bytes) -> tuple:
+    """The NVX decoder before zero-copy views, with the same checks in the
+    same order.  Returns ``(kind, resolution, coords, latents)`` as fresh
+    arrays (``latents`` is None for occupancy); raises :class:`NvxReject`."""
+    if len(data) < 4:
+        raise NvxReject("TruncatedFile", f"{len(data)} bytes is too short for a header")
+    if data[:4] != b"NVX1":
+        if data[:3] == b"NVX":
+            raise NvxReject("UnsupportedVersion", f"unsupported format version {data[3:4]!r}")
+        raise NvxReject("BadMagic", f"bad magic {data[:4]!r}")
+    if len(data) < 4 + 7 + 4:
+        raise NvxReject("TruncatedFile", f"{len(data)} bytes is too short for a header")
+    kind, resolution, count = struct.unpack_from("<BHI", data, 4)
+    offset = 4 + 7
+    if kind == 1:
+        if len(data) < offset + 2 + 4:
+            raise NvxReject("TruncatedFile", "file ends inside the channel field")
+        (channels,) = struct.unpack_from("<H", data, offset)
+        offset += 2
+        payload_size = count * 3 * 2 + count * channels * 4
+    elif kind == 0:
+        channels = None
+        payload_size = count * 3 * 2
+    else:
+        raise NvxReject("MalformedNvx", f"unknown payload kind {kind}")
+    expected = offset + payload_size + 4
+    if len(data) < expected:
+        raise NvxReject("TruncatedFile", f"expected {expected} bytes, got {len(data)}")
+    if len(data) > expected:
+        raise NvxReject("MalformedNvx", f"{len(data) - expected} trailing bytes after checksum")
+    (stored_crc,) = struct.unpack_from("<I", data, expected - 4)
+    if zlib.crc32(data[: expected - 4]) != stored_crc:
+        raise NvxReject("ChecksumMismatch", "payload does not match stored CRC32")
+    coords = np.frombuffer(data, dtype="<u2", count=count * 3, offset=offset)
+    coords = coords.reshape(count, 3).astype(np.uint16)
+    if count and int(coords.max()) >= resolution:
+        raise NvxReject("MalformedNvx", "coordinate out of bounds for stored resolution")
+    lin = _linear(coords, resolution)
+    if count > 1 and not (np.diff(lin) > 0).all():
+        raise NvxReject("MalformedNvx", "coords not in canonical linear-index order")
+    if resolution < 2:
+        raise NvxReject("MalformedNvx", f"resolution {resolution} below minimum")
+    if kind == 0:
+        return kind, resolution, coords, None
+    if channels < 1:
+        raise NvxReject("MalformedNvx", "latent channel count must be >= 1")
+    lat = np.frombuffer(data, dtype="<f4", count=count * channels, offset=offset + count * 3 * 2)
+    lat = np.ascontiguousarray(lat.reshape(count, channels))
+    if not np.isfinite(lat).all():
+        raise NvxReject("MalformedNvx", "non-finite latent values")
+    return kind, resolution, coords, lat

@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import voxedit
 from voxedit import (
@@ -17,7 +21,7 @@ from voxedit import (
     voxel_merge,
     write_nvx,
 )
-from voxedit.cli import build_parser, dispatch
+from voxedit.cli import _emit, build_parser, dispatch
 from voxedit.merge import slat_merge
 from voxedit.nvx import encode_nvx
 
@@ -328,3 +332,36 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["output"][0] == pytest.approx(1.0, abs=1e-6)
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+flat = st.one_of(scalars, st.lists(scalars, max_size=6))
+values = st.one_of(flat, st.lists(st.lists(scalars, max_size=2), max_size=2),
+                   st.dictionaries(st.text(max_size=3), scalars, max_size=2), st.tuples(scalars))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.dictionaries(st.text(), flat, max_size=6),
+                 st.dictionaries(st.one_of(st.text(), st.integers()), values, max_size=6), values))
+@example({"a": [], "b": [1], "c": {}})
+@example({"count": 0, "sizes": []})
+def test_emit_writes_what_json_dump_indent_2_writes(obj):
+    """Covers the fast path (str keys; scalars and flat scalar lists, empty
+    ones too; NaN, infinities, escapes) and its fallbacks."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _emit(obj)
+    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+
+def test_structure_and_latent_files_are_not_interchangeable(tmp_path, capsys):
+    s = make_sparse([(0, 0, 0), (1, 1, 1)], 8)
+    s_path, z_path = tmp_path / "s.nvx", tmp_path / "z.nvx"
+    write_nvx(s, s_path)
+    write_nvx(make_latent(s.coords, np.ones((2, 2)), 8), z_path)
+    assert z_path.read_bytes()[4] == 1  # a latent is written as kind 1
+    code, out, err = run_cli(capsys, "diff", "--src", str(z_path), "--tgt", str(s_path))
+    assert (code, out, err) == (1, "", f"error: {z_path} holds a latent payload, expected occupancy\n")
+    code, out, err = run_cli(capsys, "slat-merge", "--src-slat", str(s_path), "--tgt-slat", str(z_path),
+                             "--merged", str(s_path), "--mask-all", "--out", str(tmp_path / "o.nvx"))
+    assert (code, out, err) == (1, "", f"error: {s_path} holds an occupancy payload, expected latent\n")

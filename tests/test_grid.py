@@ -3,8 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxedit import OutOfBounds, SparseStructure, make_latent, make_sparse
-from voxedit.grid import coords_from_linear, linear_index
+from voxedit import (
+    OutOfBounds,
+    SparseStructure,
+    TopK,
+    apply_flip,
+    diff_xor,
+    label_components,
+    make_latent,
+    make_sparse,
+    select_components,
+    slat_merge,
+)
+from voxedit.grid import coords_from_linear, linear_index, sparse_from_linear
+from voxedit.merge import mask_all
+from voxedit.nvx import decode_nvx, encode_nvx
+
+from oracles import random_structure_coords
 
 
 def test_empty_structure():
@@ -126,3 +141,49 @@ def test_latent_equality_is_bitwise():
     a = make_latent([(0, 0, 0)], lat, 4)
     b = make_latent([(0, 0, 0)], neg, 4)
     assert a != b  # -0.0 and 0.0 differ as bits
+
+
+def _every_constructor(rng, resolution, density):
+    """One structure per way the library builds one, by name."""
+    s = make_sparse(random_structure_coords(rng, resolution, density), resolution)
+    t = make_sparse(random_structure_coords(rng, resolution, density), resolution)
+    z_s = make_latent(s.coords, rng.standard_normal((s.voxel_sum, 3)), resolution)
+    z_t = make_latent(t.coords, rng.standard_normal((t.voxel_sum, 3)), resolution)
+    d = diff_xor(s, t)
+    mask = select_components(label_components(d), TopK(2))
+    merged = apply_flip(s, mask)
+    return {
+        "make_sparse": s,
+        "from_dense": SparseStructure.from_dense(s.to_dense()),
+        "sparse_from_linear": sparse_from_linear(linear_index(s.coords, resolution), resolution),
+        "decode_nvx occupancy": decode_nvx(encode_nvx(s)),
+        "decode_nvx latent": decode_nvx(encode_nvx(z_s)),
+        "diff_xor": d,
+        "select_components": mask,
+        "apply_flip": merged,
+        "mask_all": mask_all(s),
+        "make_latent": z_s,
+        "slat_merge": slat_merge(z_s, z_t, mask, merged),
+    }
+
+
+@pytest.mark.parametrize("resolution, density", [(8, 0.0), (8, 0.05), (13, 0.2), (32, 0.02)])
+def test_linear_key_is_cached_read_only_and_exact(resolution, density):
+    rng = np.random.default_rng(resolution)
+    for name, x in _every_constructor(rng, resolution, density).items():
+        lin = x.linear()
+        assert lin.dtype == np.int64, name
+        assert np.array_equal(lin, linear_index(x.coords, x.resolution)), name
+        assert not lin.flags.writeable, name
+        assert x.linear() is lin, name  # computed at most once
+
+
+def test_latent_never_equals_a_plain_structure():
+    s = make_sparse([(0, 0, 0), (1, 2, 3)], 8)
+    z = make_latent(s.coords, np.zeros((2, 1)), 8)
+    for occ in (s, mask_all(s), z.structure(), decode_nvx(encode_nvx(s))):
+        # both orders: the subclass's reflected __eq__ runs first for occ == z
+        assert not occ == z and not z == occ
+        assert occ != z and z != occ
+        assert occ == s
+    assert z == decode_nvx(encode_nvx(z)) and z.structure() == s

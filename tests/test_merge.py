@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxedit import (
     ChannelMismatch,
@@ -423,3 +425,31 @@ def test_labeling_deterministic_under_thread_pool():
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(run, diffs))
     assert serial == parallel
+
+
+keys = st.lists(st.integers(0, 80), unique=True, max_size=60).map(lambda v: np.array(sorted(v), dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys, keys, st.booleans())
+def test_sorted_xor_equals_setxor1d(a, b, disjoint):
+    if disjoint:
+        b = b + 1000
+    got = merge._xor_sorted(a, b)
+    want = np.setxor1d(a, b, assume_unique=True)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("a, b", [([], []), ([3], []), ([], [3]), ([1, 2], [1, 2]), ([1, 3], [2, 4])])
+def test_sorted_xor_edge_cases(a, b):
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert np.array_equal(merge._xor_sorted(a, b), np.setxor1d(a, b, assume_unique=True))
+
+
+def test_component_sets_compare_without_raising():
+    rng = np.random.default_rng(44)
+    d = make_sparse(random_structure_coords(rng, 16, 0.1), 16)
+    a, b = label_components(d), label_components(d)
+    assert a == a
+    assert isinstance(a == b, bool) and isinstance(a != b, bool)

@@ -1,7 +1,12 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voxedit import make_latent, make_sparse, read_nvx, write_nvx
+from voxedit import SparseStructure, StructuredLatent, make_latent, make_sparse, read_nvx, write_nvx
 from voxedit.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -10,9 +15,10 @@ from voxedit.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
+from voxedit.grid import linear_index
 from voxedit.nvx import decode_nvx, encode_nvx
 
-from oracles import random_structure_coords
+from oracles import NvxReject, decode_nvx_copying, encode_nvx_staged, random_structure_coords
 
 
 def random_structure(rng, resolution=16):
@@ -111,9 +117,6 @@ def test_trailing_bytes_rejected():
 
 
 def test_unknown_kind_rejected():
-    import struct
-    import zlib
-
     buf = bytearray(b"NVX1") + struct.pack("<BHI", 9, 8, 0)
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
     with pytest.raises(MalformedNvx):
@@ -121,9 +124,6 @@ def test_unknown_kind_rejected():
 
 
 def test_noncanonical_order_rejected():
-    import struct
-    import zlib
-
     coords = np.array([[1, 0, 0], [0, 0, 0]], dtype="<u2")
     buf = bytearray(b"NVX1") + struct.pack("<BHI", 0, 8, 2) + coords.tobytes()
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
@@ -134,3 +134,87 @@ def test_noncanonical_order_rejected():
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_nvx(tmp_path / "nope.nvx")
+
+
+# --- the streamed codec against the staged one it replaced ------------------
+
+@st.composite
+def payloads(draw):
+    """An occupancy structure or a latent set, empty ones included, with
+    latents drawn over all finite float32 values (-0.0 and subnormals too)."""
+    r = draw(st.integers(2, 24))
+    coords = draw(st.lists(st.tuples(*[st.integers(0, r - 1)] * 3), max_size=40, unique=True))
+    if draw(st.booleans()):
+        return make_sparse(coords, r)
+    c = draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                           min_size=len(coords) * c, max_size=len(coords) * c))
+    return make_latent(coords, np.array(values, dtype=np.float32).reshape(len(coords), c), r)
+
+
+def _staged(payload) -> bytes:
+    latents = payload.latents if isinstance(payload, StructuredLatent) else None
+    return encode_nvx_staged(payload.resolution, payload.coords, latents)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payloads())
+def test_streamed_writes_equal_the_staged_encoder(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("nvx") / "p.nvx"
+    write_nvx(payload, path)
+    expected = _staged(payload)
+    assert encode_nvx(payload) == expected
+    assert path.read_bytes() == expected
+    assert expected[4] == (1 if isinstance(payload, StructuredLatent) else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payloads(), st.booleans())
+def test_decoded_views_equal_the_copying_decoder(payload, mutable_input):
+    data = encode_nvx(payload)
+    kind, r, coords, latents = decode_nvx_copying(data)
+    back = decode_nvx(bytearray(data) if mutable_input else data)
+    assert type(back) is (StructuredLatent if kind == 1 else SparseStructure)
+    assert back == payload and back.resolution == r
+    assert back.coords.dtype == np.uint16 and back.coords.tobytes() == coords.tobytes()
+    arrays = [back.coords, back.linear()]
+    if kind == 1:
+        assert back.latents.dtype == np.float32 and back.latents.tobytes() == latents.tobytes()
+        arrays.append(back.latents)
+    assert np.array_equal(back.linear(), linear_index(coords, r))
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads(), st.data())
+def test_damaged_files_fail_as_the_copying_decoder_does(payload, data):
+    """Same error type and message, or the same payload, on truncated,
+    extended and corrupted files, also when the CRC is made to match so
+    the checks behind it run."""
+    good = encode_nvx(payload)
+    how = data.draw(st.sampled_from(["cut", "extend", "flip", "flip+crc"]))
+    if how == "cut":
+        bad = good[:data.draw(st.integers(0, len(good) - 1))]
+    elif how == "extend":
+        bad = good + data.draw(st.binary(min_size=1, max_size=4))
+    else:
+        body = bytearray(good if how == "flip" else good[:-4])
+        pos = data.draw(st.integers(0, len(body) - 1))
+        body[pos] ^= data.draw(st.integers(1, 255))
+        bad = bytes(body) if how == "flip" else _with_crc(bytes(body))
+    try:
+        expected = decode_nvx_copying(bad)
+    except NvxReject as rej:
+        with pytest.raises(NvxError) as exc:
+            decode_nvx(bad)
+        assert (type(exc.value).__name__, str(exc.value)) == rej.args
+    else:
+        back = decode_nvx(bad)
+        assert back.coords.tobytes() == expected[2].tobytes()
