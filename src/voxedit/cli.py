@@ -7,6 +7,7 @@ through explicit --out flags; diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -384,9 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built on first use; parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (VoxeditError, OSError) as exc:

@@ -29,9 +29,17 @@ def check_resolution(resolution: int) -> int:
 
 def linear_index(coords: np.ndarray, resolution: int) -> np.ndarray:
     """Linear index of ``(N, 3)`` coords under the x-major order."""
-    c = np.asarray(coords, dtype=np.int64)
+    c = np.asarray(coords)
+    if c.dtype.kind not in "iu":
+        c = c.astype(np.int64)
     r = int(resolution)
-    return c[:, 0] * r * r + c[:, 1] * r + c[:, 2]
+    # in place on one int64 column: no temporaries the size of the key
+    lin = c[:, 0].astype(np.int64)
+    lin *= r
+    lin += c[:, 1]
+    lin *= r
+    lin += c[:, 2]
+    return lin
 
 
 def coords_from_linear(lin: np.ndarray, resolution: int) -> np.ndarray:

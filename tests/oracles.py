@@ -4,8 +4,10 @@ Everything here is deliberately written the slow, obvious way and shares
 no code with the package: dense brute force, BFS flood fill, scalar SAT,
 quadratic scans, the per-triangle and per-voxel loops the mesh layer used
 before it was vectorised, the one-array-per-component labelling the
-merge layer used before its flat layout, and the NVX codec that staged
-whole files in copied buffers before the codec streamed its parts.
+merge layer used before its flat layout, the NVX codec that staged
+whole files in copied buffers before the codec streamed its parts, the
+linear-index formula that built three int64 temporaries, and the
+Chamfer that queried every voxel on balanced KD-trees.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from collections import deque
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 
 def dense_xor(grid_a: np.ndarray, grid_b: np.ndarray) -> np.ndarray:
@@ -111,6 +114,13 @@ def select_components_concat(components: list[np.ndarray], resolution: int, poli
 def _linear(coords: np.ndarray, resolution: int) -> np.ndarray:
     c = coords.astype(np.int64)
     return (c[:, 0] * resolution + c[:, 1]) * resolution + c[:, 2]
+
+
+def linear_index_formula(coords, resolution: int) -> np.ndarray:
+    """``x*R^2 + y*R + z`` on an int64 copy of the coords."""
+    c = np.asarray(coords, dtype=np.int64)
+    r = int(resolution)
+    return c[:, 0] * r * r + c[:, 1] * r + c[:, 2]
 
 
 def merge_oracle(src_grid: np.ndarray, tgt_grid: np.ndarray, mask_grid: np.ndarray) -> np.ndarray:
@@ -265,6 +275,24 @@ def chamfer_quadratic(a: np.ndarray, b: np.ndarray) -> float:
     """Full pairwise squared-distance scan, both directions."""
     d = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
     return float(np.mean(d.min(axis=1)) + np.mean(d.min(axis=0)))
+
+
+def chamfer_kdtree(a: np.ndarray, b: np.ndarray) -> float:
+    """Both directions queried in full on balanced KD-trees; squared
+    distances taken from the coordinates of the neighbours found."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 3)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 3)
+    _, idx_ab = cKDTree(b).query(a)
+    _, idx_ba = cKDTree(a).query(b)
+    sq_ab = np.sum((a - b[idx_ab]) ** 2, axis=1)
+    sq_ba = np.sum((b - a[idx_ba]) ** 2, axis=1)
+    return float(np.mean(sq_ab) + np.mean(sq_ba))
+
+
+def chamfer_voxels_kdtree(coords_a: np.ndarray, coords_b: np.ndarray) -> float:
+    """:func:`chamfer_kdtree` of the cell centres, in grid units."""
+    return chamfer_kdtree(np.asarray(coords_a, dtype=np.float64) + 0.5,
+                          np.asarray(coords_b, dtype=np.float64) + 0.5)
 
 
 def snis_posterior_mean(z_star, t, mu, var, n_draws, seed):

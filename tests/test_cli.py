@@ -21,6 +21,7 @@ from voxedit import (
     voxel_merge,
     write_nvx,
 )
+from voxedit import cli as cli_module
 from voxedit.cli import _emit, build_parser, dispatch
 from voxedit.merge import slat_merge
 from voxedit.nvx import encode_nvx
@@ -230,6 +231,19 @@ def test_chamfer_command(tmp_path, capsys):
     assert json.loads(stdout)["chamfer"] == 50.0
 
 
+def test_chamfer_command_mixed_resolutions_stdout_is_pinned(tmp_path, capsys):
+    # a grid-unit Chamfer and no IoU; the bytes are those the full-query
+    # KD-tree Chamfer printed, worked by hand: 71/3 + 262/4
+    write_nvx(make_sparse([(0, 0, 0), (1, 2, 3), (7, 7, 7)], 8), tmp_path / "a.nvx")
+    write_nvx(make_sparse([(0, 0, 0), (1, 2, 4), (9, 0, 2), (15, 15, 15)], 16), tmp_path / "b.nvx")
+    expected = '{\n  "chamfer": 89.16666666666667,\n  "iou": null\n}\n'
+    for a, b in (("a", "b"), ("b", "a")):
+        code, stdout, _ = run_cli(capsys, "chamfer", "--a", str(tmp_path / f"{a}.nvx"),
+                                  "--b", str(tmp_path / f"{b}.nvx"))
+        assert code == 0
+        assert stdout == expected
+
+
 def test_consistency_command(tmp_path, capsys):
     src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=75)
     merged_path, mask_path = tmp_path / "m.nvx", tmp_path / "mask.json"
@@ -313,6 +327,36 @@ def test_every_subcommand_help_documents_its_flags():
             for opt in action.option_strings:
                 if opt.startswith("--"):
                     assert opt in text, f"{name}: {opt} missing from --help"
+
+
+def test_dispatch_reuses_its_parser_without_changing_results(tmp_path, capsys, monkeypatch):
+    _, _, src_path, tgt_path = write_pair(tmp_path, seed=78)
+    bad = tmp_path / "bad.nvx"
+    bad.write_bytes(b"JUNKDATA")
+    calls = [
+        ["diff", "--src", str(src_path), "--tgt", str(tgt_path)],
+        ["chamfer", "--a", str(src_path), "--b", str(tgt_path)],
+        ["inspect", str(bad)],
+        ["merge", "--src", "a", "--tgt", "b", "--out", "c", "--tau", "1", "--top-k", "2"],
+        ["components", str(src_path), "--connectivity", "7"],
+    ]
+
+    def run_twice():
+        results = []
+        for argv in calls:
+            for _ in range(2):
+                try:
+                    code = dispatch(argv)
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+        return results
+
+    shared = run_twice()
+    monkeypatch.setattr(cli_module, "_parser", build_parser)  # a fresh parser per call
+    assert run_twice() == shared
+    assert [r[0] for r in shared] == [0, 0, 0, 0, 1, 1, ("exit", 2), ("exit", 2), ("exit", 2), ("exit", 2)]
 
 
 def test_top_level_help_golden():

@@ -19,7 +19,7 @@ from voxedit.grid import coords_from_linear, linear_index, sparse_from_linear
 from voxedit.merge import mask_all
 from voxedit.nvx import decode_nvx, encode_nvx
 
-from oracles import random_structure_coords
+from oracles import linear_index_formula, random_structure_coords
 
 
 def test_empty_structure():
@@ -69,6 +69,18 @@ def test_linear_index_round_trip():
     coords = rng.integers(0, 16, size=(100, 3))
     lin = linear_index(coords, 16)
     assert np.array_equal(coords_from_linear(lin, 16), coords.astype(np.uint16))
+
+
+def test_linear_index_equals_the_int64_formula():
+    rng = np.random.default_rng(1)
+    for r in (2, 128, 65535):
+        coords = np.concatenate([rng.integers(0, r, size=(200, 3)), [[r - 1] * 3, [0, 0, 0]]])
+        expected = linear_index_formula(coords, r)
+        assert expected[-2] == r**3 - 1  # the top corner
+        for arr in (coords.astype(np.uint16), coords.astype(np.int64), coords.tolist()):
+            lin = linear_index(arr, r)
+            assert lin.dtype == np.int64
+            assert np.array_equal(lin, expected)
 
 
 def test_dense_round_trip_trivial():

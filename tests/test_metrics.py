@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxedit import (
     EmptySet,
@@ -13,9 +15,10 @@ from voxedit import (
     region_consistency,
     voxel_merge,
 )
+from voxedit import metrics
 from voxedit.metrics import voxel_centers
 
-from oracles import chamfer_quadratic, random_structure_coords
+from oracles import chamfer_kdtree, chamfer_quadratic, chamfer_voxels_kdtree, random_structure_coords
 
 
 def random_structure(rng, resolution=8, density=None):
@@ -75,6 +78,73 @@ def test_chamfer_voxels_uses_cell_centers():
     b = make_sparse([(3, 4, 0)], 8)
     assert chamfer_voxels(a, b) == 50.0
     assert voxel_centers(a).tolist() == [[0.5, 0.5, 0.5]]
+
+
+def test_chamfer_equals_the_balanced_tree_reference_bit_for_bit():
+    rng = np.random.default_rng(57)
+    for _ in range(100):
+        na, nb = rng.integers(1, 300, size=2)
+        a = rng.uniform(-3, 3, size=(int(na), 3))
+        b = rng.uniform(-3, 3, size=(int(nb), 3))
+        assert chamfer(a, b) == chamfer_kdtree(a, b)
+
+
+def test_chamfer_voxels_empty_rejected():
+    s = make_sparse([(1, 2, 3)], 8)
+    for a, b in ((s, make_sparse([], 8)), (make_sparse([], 16), s)):
+        with pytest.raises(EmptySet):
+            chamfer_voxels(a, b)
+
+
+@st.composite
+def voxel_pairs(draw):
+    """Two structures that overlap, are disjoint, are identical, hold a
+    single voxel or differ in resolution."""
+    kind = draw(st.sampled_from(["overlap", "disjoint", "identical", "single", "mixed"]))
+    ra = draw(st.sampled_from([2, 5, 8, 16]))
+    rb = draw(st.sampled_from([2, 3, 8, 12, 16])) if kind == "mixed" else ra
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "single":
+        return (make_sparse(rng.integers(0, ra, size=(1, 3)), ra),
+                make_sparse(random_structure_coords(rng, rb, rng.uniform(0.002, 0.3)), rb))
+    a = make_sparse(random_structure_coords(rng, ra, rng.uniform(0.002, 0.4)), ra)
+    if kind == "identical":
+        return a, make_sparse(a.coords, ra)
+    if kind == "disjoint":
+        pool = np.setdiff1d(np.arange(ra**3), a.linear())  # a covers at most 40% of the grid
+        pick = rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False)
+        return a, make_sparse(np.stack(np.unravel_index(pick, (ra,) * 3), axis=1), ra)
+    b = random_structure_coords(rng, rb, rng.uniform(0.002, 0.4))
+    if kind in ("overlap", "mixed"):  # keep part of a, add some cells of its own
+        keep = a.coords[(rng.random(a.voxel_sum) < 0.8) & (a.coords.max(axis=1) < rb)]
+        b = np.concatenate([keep, b[: max(1, len(b) // 4)]]) if len(keep) else b
+    return a, make_sparse(b, rb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(voxel_pairs())
+def test_chamfer_voxels_equals_full_query_oracle(pair):
+    a, b = pair
+    got = chamfer_voxels(a, b)
+    assert got == chamfer_voxels_kdtree(a.coords, b.coords)
+    centres_a, centres_b = a.coords + 0.5, b.coords + 0.5
+    assert got == chamfer_quadratic(centres_a, centres_b)
+    assert got == chamfer_voxels(b, a)
+
+
+def test_chamfer_voxels_of_identical_structures_builds_no_tree(monkeypatch):
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a KD-tree was built")
+
+    rng = np.random.default_rng(58)
+    s = random_structure(rng, resolution=16, density=0.2)
+    monkeypatch.setattr(metrics, "cKDTree", no_tree)
+    assert chamfer_voxels(s, s) == 0.0
+    assert chamfer_voxels(s, make_sparse(s.coords, 16)) == 0.0
+    # the patch is live: a strict subset leaves the other side cells of its own to query
+    sub = make_sparse(s.coords[::2], 16)
+    with pytest.raises(AssertionError, match="KD-tree"):
+        chamfer_voxels(sub, s)
 
 
 # --- occupancy IoU ------------------------------------------------------------
@@ -177,6 +247,21 @@ def test_planted_fault_flags_exactly_the_corrupted_side():
         else:
             assert report.outside_mask_iou < 1.0
             assert report.inside_mask_match_fraction == 1.0
+
+
+def test_iou_and_consistency_equal_dense_counts_on_arbitrary_inputs():
+    rng = np.random.default_rng(59)
+    for _ in range(100):
+        src, tgt, merged, mask_s = (random_structure(rng) for _ in range(4))
+        mask = voxel_merge(mask_s, make_sparse([], 8), policy=Threshold(0))[1]
+        a, t, m, k = (x.to_dense() for x in (src, tgt, merged, mask))
+        union = np.count_nonzero(a | m)
+        assert occupancy_iou(src, merged) == (np.count_nonzero(a & m) / union if union else 1.0)
+        report = region_consistency(src, tgt, merged, mask)
+        out_union = np.count_nonzero((a | m) & ~k)
+        assert report.outside_mask_iou == (np.count_nonzero(a & m & ~k) / out_union if out_union else 1.0)
+        assert report.inside_mask_match_fraction == (float(np.mean(m[k] == t[k])) if k.any() else 1.0)
+        assert report.diff_size == np.count_nonzero(a ^ t)
 
 
 def test_empty_mask_empty_everything_reports_ones():
