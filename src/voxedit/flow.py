@@ -7,8 +7,8 @@ integrates the guided difference of the target and source velocity
 fields; closed-form oracles make the whole loop exactly checkable.
 
 Noise draws come from counter-based Philox substreams keyed on
-(seed, step index, draw index), so runs reproduce bit for bit and two
-draws never share a stream.
+(``config.rng_seed``, step index, draw index), so runs reproduce bit for
+bit and two draws never share a stream.
 """
 from __future__ import annotations
 
@@ -135,11 +135,11 @@ class AffineGaussianVelocityOracle(VelocityOracle):
 
 
 def make_analytic_oracle(kind: str, **params) -> VelocityOracle:
-    """Convenience factory: kind 'delta' (anchors=...) or 'affine_gaussian'
+    """Convenience factory: kind 'delta' (anchors=...) or 'gaussian'
     (means=..., variances=...)."""
     if kind == "delta":
         return DeltaVelocityOracle(params["anchors"])
-    if kind in ("affine_gaussian", "gaussian"):
+    if kind == "gaussian":
         return AffineGaussianVelocityOracle(params["means"], params["variances"])
     raise ValueError(f"unknown oracle kind {kind!r}")
 
@@ -192,7 +192,6 @@ def flowedit_run(
     tgt_condition,
     oracle: VelocityOracle,
     config: FlowEditConfig,
-    seed: int | None = None,
     on_step=None,
 ) -> np.ndarray:
     """Integrate the edit trajectory from the source state.
@@ -205,8 +204,6 @@ def flowedit_run(
 
     ``on_step`` (optional) receives a dict per step for transcripts.
     """
-    if seed is None:
-        seed = config.rng_seed
     x_src = np.asarray(x_src, dtype=np.float64).reshape(-1)
     _require_finite(x_src, "source state")
     ts = linear_schedule(config.steps)
@@ -216,7 +213,7 @@ def flowedit_run(
         t = ts[i]
         acc = np.zeros_like(z)
         for k in range(config.n_avg):
-            eps = _noise_stream(seed, i, k).standard_normal(z.shape[0])
+            eps = _noise_stream(config.rng_seed, i, k).standard_normal(z.shape[0])
             z_src = (1 - t) * x_src + t * eps
             z_tgt = z + z_src - x_src
             v_tgt = _guided(oracle, z_tgt, t, tgt_condition, config.cfg_target_scale)

@@ -59,13 +59,13 @@ def make_mesh(vertices, triangles) -> TriMesh:
     return TriMesh(vertices=_freeze(v), triangles=_freeze(t))
 
 
-def default_bounds(mesh: TriMesh, margin: float = BOUNDS_MARGIN):
-    """Mesh AABB expanded by ``margin`` per side, so boundary triangles
-    land in cells deterministically."""
+def default_bounds(mesh: TriMesh):
+    """Mesh AABB expanded by ``BOUNDS_MARGIN`` per side, so boundary
+    triangles land in cells deterministically."""
     if mesh.num_vertices == 0:
         raise EmptyBounds("mesh has no vertices")
-    lo = mesh.vertices.min(axis=0) - margin
-    hi = mesh.vertices.max(axis=0) + margin
+    lo = mesh.vertices.min(axis=0) - BOUNDS_MARGIN
+    hi = mesh.vertices.max(axis=0) + BOUNDS_MARGIN
     return lo, hi
 
 

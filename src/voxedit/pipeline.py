@@ -278,6 +278,10 @@ class MockGeneratorBackend(GeneratorBackend):
     def __init__(self, resolution: int = 32, channels: int = 8):
         self.resolution = int(resolution)
         self.channels = int(channels)
+        if self.resolution < 8:
+            raise ValueError(f"mock resolution must be >= 8 to hold the planted edit, got {self.resolution}")
+        if self.channels < 1:
+            raise ChannelMismatch("latent channel count must be >= 1")
 
     def _base_grid(self, token: str) -> np.ndarray:
         rng = _rng(derive_seed("generate-base", token))
@@ -306,8 +310,6 @@ class MockGeneratorBackend(GeneratorBackend):
         return grid
 
     def generate(self, image_ref: str, seed: int) -> tuple[SparseStructure, StructuredLatent]:
-        if self.channels < 1:
-            raise ChannelMismatch("latent channel count must be >= 1")
         base_token, sep, digest = image_ref.partition("::edit::")
         grid = self._base_grid(base_token)
         if sep:
@@ -353,10 +355,6 @@ class SampleSpec:
     seed: int
 
 
-_STAGES = ("instruction", "generate_source", "image_edit", "generate_target",
-           "voxel_merge", "slat_merge", "write_artifacts", "filter")
-
-
 def run_sample(
     sample: SampleSpec,
     backends: BackendSuite,
@@ -374,7 +372,6 @@ def run_sample(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    record = ManifestRecord(id=sample.id, status="failed", attempt=1)
     for attempt in range(1, max_attempts + 1):
         record = _run_attempt(sample, backends, out_dir, merge_policy, connectivity, attempt)
         if record.status != "filtered":
@@ -390,7 +387,7 @@ def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt) -> Ma
         source_image=sample.image_ref,
         policy={**policy.describe(), "connectivity": connectivity},
     )
-    stage = _STAGES[0]
+    stage = "instruction"
     try:
         instruction = backends.instruction.propose(
             sample.image_ref, derive_seed(sample.seed, attempt, "instruction"))
@@ -456,9 +453,12 @@ def run_pipeline(
     """Process ``n_samples`` independent samples and append their records,
     in sample order, to a fresh JSONL manifest.  Returns the manifest path.
 
-    Worker threads only parallelize the per-sample stages; the manifest is
-    written by this thread in index order, so output bytes do not depend
-    on ``workers``.
+    ``workers`` threads run the per-sample stages; this thread appends
+    each record as soon as it and every lower-indexed record are done, so
+    the manifest bytes do not depend on ``workers``.  If a sample raises
+    past its own failure handling (a crash, or Ctrl-C), the manifest keeps
+    exactly the records before it: samples not yet started are cancelled,
+    the run waits for those in flight, and none of theirs is written.
     """
     if backends is None:
         backends = mock_backend_suite()
@@ -467,6 +467,8 @@ def run_pipeline(
     if Path(manifest_name).name != manifest_name:
         # record paths are relative to the manifest, so it must sit in out_dir
         raise ValueError(f"manifest name must be a bare filename, got {manifest_name!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / manifest_name
@@ -480,12 +482,9 @@ def run_pipeline(
     def work(spec: SampleSpec) -> ManifestRecord:
         return run_sample(spec, backends, out_dir, merge_policy, connectivity, max_attempts)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, specs))
-    else:
-        results = [work(spec) for spec in specs]
-
-    for record in results:
-        append_record(manifest_path, record)
+    # map yields in sample order; an exception cancels the samples not yet
+    # started, and leaving the block waits for those running
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for record in pool.map(work, specs):
+            append_record(manifest_path, record)
     return manifest_path

@@ -290,6 +290,26 @@ def test_pipeline_run_command(tmp_path, capsys):
     assert manifests["2"] == manifests["1"]
 
 
+def test_pipeline_run_rejects_bad_settings_before_writing(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    base = ("pipeline", "run", "--out-dir", str(out_dir), "--samples", "2", "--seed", "1",
+            "--resolution", "16", "--channels", "4")
+    code, _, _ = run_cli(capsys, *base)
+    assert code == 0
+    manifest = out_dir / "manifest.jsonl"
+    before = manifest.read_bytes()
+    for flags in (("--workers", "0"), ("--workers", "-2"), ("--resolution", "4"), ("--channels", "0")):
+        code, stdout, stderr = run_cli(capsys, *base, *flags)
+        assert code == 1, flags
+        assert stdout == "" and stderr.startswith("error:"), flags
+        # the earlier run's manifest is neither truncated nor appended to
+        assert manifest.read_bytes() == before, flags
+    code, _, _ = run_cli(capsys, "pipeline", "run", "--out-dir", str(tmp_path / "small"),
+                         "--samples", "2", "--seed", "1", "--resolution", "4")
+    assert code == 1
+    assert not (tmp_path / "small").exists()
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["unknown-subcommand"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxedit import (
+    ChannelMismatch,
     EmptySlot,
     ManifestRecord,
     MissingSlot,
@@ -204,6 +205,18 @@ def test_mock_generator_edit_token_plants_changes():
     assert d.voxel_sum > 0
 
 
+def test_mock_generator_rejects_grids_too_small_for_the_edit():
+    with pytest.raises(ValueError):
+        MockGeneratorBackend(resolution=7, channels=4)
+    with pytest.raises(ChannelMismatch):
+        MockGeneratorBackend(resolution=16, channels=0)
+    # the smallest allowed grid holds every planted edit box
+    gen = MockGeneratorBackend(resolution=8, channels=1)
+    for k in range(20):
+        s_edit, z_edit = gen.generate(f"img-{k}::edit::{k:08x}", seed=k)
+        assert s_edit.resolution == 8 and z_edit.channels == 1
+
+
 def test_derive_seed_is_stable():
     assert derive_seed("a", 1) == derive_seed("a", 1)
     assert derive_seed("a", 1) != derive_seed("a", 2)
@@ -308,6 +321,26 @@ def test_pipeline_workers_do_not_change_output(tmp_path):
         serial = run("serial", 1)
         assert run("parallel", 4) == serial, verdicts
         assert run("parallel-again", 4) == serial, verdicts
+
+
+def test_pipeline_interrupt_keeps_the_finished_prefix(tmp_path):
+    kwargs = dict(n_samples=6, seed=3, max_attempts=2)
+    full = run_pipeline(tmp_path / "full", backends=mock_backend_suite(16, 4), **kwargs).read_bytes()
+    prefix = b"".join(full.splitlines(keepends=True)[:3])
+
+    class InterruptAtSample3(MockGeneratorBackend):
+        def generate(self, image_ref, seed):
+            if image_ref.startswith("mock-image://3/000003"):
+                raise KeyboardInterrupt
+            return super().generate(image_ref, seed)
+
+    for workers in (1, 2):
+        suite = mock_backend_suite(16, 4)
+        suite.generator = InterruptAtSample3(16, 4)
+        out_dir = tmp_path / f"interrupted{workers}"
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(out_dir, backends=suite, workers=workers, **kwargs)
+        assert (out_dir / "manifest.jsonl").read_bytes() == prefix, workers
 
 
 def test_mock_filter_verdict_depends_on_attempt_only():
