@@ -17,6 +17,7 @@ from .errors import (
     MalformedNvx,
     MissingLatent,
     MissingSlot,
+    NonFiniteGeometry,
     NonFiniteState,
     NvxError,
     OutOfBounds,

@@ -39,6 +39,10 @@ class EmptyBounds(VoxeditError):
     """A voxelization bounding box has non-positive extent."""
 
 
+class NonFiniteGeometry(VoxeditError):
+    """A voxelization bound, or a vertex that a triangle uses, is NaN or infinite."""
+
+
 class EmptySet(VoxeditError):
     """A metric was asked to evaluate an empty point set."""
 

@@ -7,16 +7,27 @@ edge cross products; Akenine-Moller, "Fast 3D Triangle-Box Overlap
 Testing", JGT 2001).  Touching counts as intersecting, which keeps the
 result conservative and deterministic on cell boundaries: a triangle whose
 lowest coordinate lies exactly on a cell boundary also occupies the cell
-below it.  The test runs batched over (triangle, candidate cell) pairs in
-chunks of a fixed size, so memory stays bounded even for one triangle that
-spans the grid.  Where the arithmetic is exact (unit bounds, a power-of-two
-R, vertices on multiples of half a cell) the result equals the scalar
-brute force in ``tests/oracles.py``; elsewhere a cell that a triangle
-touches exactly may fall either way, by rounding.
+below it.  Bounds and the vertices that triangles use must be finite.
+
+A triangle's candidate cells come from the column depth range of Schwarz
+& Seidel ("Fast Parallel Surface and Solid Voxelization on GPUs", SIGGRAPH
+Asia 2010): the columns of its bounding box run along the dominant axis of
+the face normal, and each keeps only the cells whose centres can pass the
+face-normal slab test, widened by one cell on each side for rounding.
+That makes O(R^2) candidates per triangle, where the box of a triangle
+spanning the grid holds O(R^3) cells.  Pruning drops only cells the SAT's
+face-normal axis rejects, so the result equals the SAT over the whole box.
+Columns and (triangle, cell) pairs are both taken in chunks of a fixed
+size, so memory stays bounded even for one triangle that spans the grid.
+Where the arithmetic is exact (unit bounds, a power-of-two R, vertices on
+multiples of half a cell) the result equals the scalar brute force in
+``tests/oracles.py``; elsewhere a cell that a triangle touches exactly may
+fall either way, by rounding.
 
 Surface export finds every exposed face in one pass over the six face
 directions, and ``save_obj`` writes the same bytes as one ``%.9g`` / ``%d``
-record per line, in batches of lines.
+record per line, in batches of lines, formatting integral vertices (all
+surface-mesh corners) with ``%d``.
 """
 from __future__ import annotations
 
@@ -24,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyBounds
+from .errors import EmptyBounds, NonFiniteGeometry
 from .grid import SparseStructure, _freeze, check_resolution, membership, sparse_from_linear
 
 BOUNDS_MARGIN = 1e-6
@@ -69,8 +80,9 @@ def default_bounds(mesh: TriMesh):
     return lo, hi
 
 
-# (triangle, candidate cell) pairs tested per SAT batch; bounds the
-# working memory whatever the size of one triangle's candidate box.
+# (triangle, candidate cell) pairs tested per SAT batch, and columns
+# walked per batch; bounds the working memory whatever the size of one
+# triangle's candidate box.
 _SAT_CHUNK = 1 << 16
 
 # OBJ records formatted and written per ``write`` call.
@@ -92,28 +104,101 @@ def _sat_axes(tri: np.ndarray) -> np.ndarray:
     return np.stack(axes)
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` by sort and compare; numpy 2.4's hash-based
+    ``np.unique`` takes about 20x as long on 30k int64 keys."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _candidate_pairs(tri, lo, cell, resolution, normal, slab_lo, slab_hi):
+    """The (triangle, cell) pairs worth a SAT, as ``(t, ix, iy, iz)`` int64
+    batches of at most ``_SAT_CHUNK`` pairs, ordered by triangle, column,
+    depth.
+
+    A triangle's candidate box holds every cell whose closed box can touch
+    its AABB.  Its columns run along the dominant axis ``w`` of its face
+    normal ``n``; each keeps the ``w``-range of cells whose centres ``c``
+    can satisfy ``slab_lo <= n.c <= slab_hi``, widened by one cell on each
+    side for rounding and clipped to the box.  A normal that gives no such
+    range (zero, non-finite, or so small that ``n.c`` underflows) keeps
+    the whole column.  Columns, too, are taken ``_SAT_CHUNK`` at a time."""
+    rows = np.arange(len(tri))
+    # ceil - 1 (not floor) keeps the cell below an exact boundary; clip
+    # before the cast, which is undefined for huge floats
+    tmin = np.clip(np.ceil((tri.min(axis=1) - lo) / cell) - 1, 0, resolution - 1).astype(np.int64)
+    tmax = np.clip(np.floor((tri.max(axis=1) - lo) / cell), 0, resolution - 1).astype(np.int64)
+    w = np.argmax(np.abs(normal), axis=1)
+    u, v = (w + 1) % 3, (w + 2) % 3  # (u, v, w) is a rotation of (x, y, z)
+    step = normal * cell  # change of n.c per cell along each axis
+    sw = step[rows, w]
+    prune = np.isfinite(step).all(axis=1) & np.isfinite(slab_lo) & np.isfinite(slab_hi) \
+        & (np.abs(sw) > 1e-290)
+    # The centres of column (iu, iv) cross the plane n.c = d at the w-index
+    # (d - n.c0) / sw - gu * iu - gv * iv, c0 being the centre of cell
+    # (0, 0, 0); an unpruned triangle gets the range (-inf, inf).
+    sw = np.where(prune, sw, 1.0)
+    n_c0 = np.where(prune[:, None], normal, 0.0) @ (lo + cell / 2)
+    x0 = np.where(prune, (slab_lo - n_c0) / sw, -np.inf)
+    x1 = np.where(prune, (slab_hi - n_c0) / sw, np.inf)
+    x0, x1 = np.minimum(x0, x1), np.maximum(x0, x1)
+    gu = np.where(prune, step[rows, u], 0.0) / sw
+    gv = np.where(prune, step[rows, v], 0.0) / sw
+
+    bu, bv, bw = tmin[rows, u], tmin[rows, v], tmin[rows, w]
+    ew = tmax[rows, w]
+    dv = tmax[rows, v] - bv + 1
+    offsets = np.concatenate([[0], np.cumsum((tmax[rows, u] - bu + 1) * dv)])
+    for start in range(0, int(offsets[-1]), _SAT_CHUNK):
+        col = np.arange(start, min(start + _SAT_CHUNK, int(offsets[-1])), dtype=np.int64)
+        t = np.searchsorted(offsets, col, side="right") - 1
+        iu, iv = np.divmod(col - offsets[t], dv[t])
+        iu += bu[t]
+        iv += bv[t]
+        g = gu[t] * iu + gv[t] * iv
+        # widen by one cell each side; fmax/fmin take the box's end for a NaN
+        first = np.fmin(np.fmax(np.ceil(x0[t] - g) - 1, bw[t]), ew[t] + 1).astype(np.int64)
+        last = np.fmax(np.fmin(np.floor(x1[t] - g) + 1, ew[t]), bw[t] - 1).astype(np.int64)
+        depth = np.maximum(last - first + 1, 0)
+        ends = np.cumsum(depth)
+        first -= ends - depth  # w-index = first[c] + pair number
+        tw = w[t]
+        del col, g, last, depth  # keep only what the pairs read
+        for pstart in range(0, int(ends[-1]), _SAT_CHUNK):
+            pair = np.arange(pstart, min(pstart + _SAT_CHUNK, int(ends[-1])), dtype=np.int64)
+            c = np.searchsorted(ends, pair, side="right")
+            local = np.stack([iu[c], iv[c], first[c] + pair], axis=1)
+            ijk = np.take_along_axis(local, (np.arange(3) - tw[c, None] - 1) % 3, axis=1)
+            yield t[c], ijk[:, 0], ijk[:, 1], ijk[:, 2]
+
+
 def voxelize_mesh(mesh: TriMesh, resolution: int, bounds=None) -> SparseStructure:
     """Conservative surface voxelization onto the uniform R^3 partition of
-    ``bounds`` (defaults to the mesh AABB plus a small margin)."""
+    ``bounds`` (defaults to the mesh AABB plus a small margin).
+
+    Raises ``NonFiniteGeometry`` for a NaN or infinite bound, or a NaN or
+    infinite vertex that a triangle uses."""
     resolution = check_resolution(resolution)
+    if bounds is None and mesh.num_triangles == 0:
+        return sparse_from_linear(np.empty(0, dtype=np.int64), resolution)
+    tri = mesh.vertices[mesh.triangles]  # (T, 3 vertices, 3)
+    finite = np.isfinite(tri).all(axis=2)
+    if not finite.all():
+        t, k = np.argwhere(~finite)[0]
+        raise NonFiniteGeometry(f"triangle {t} uses vertex {mesh.triangles[t, k]} = "
+                                f"{tri[t, k].tolist()}, which is not finite")
     if bounds is None:
-        if mesh.num_triangles == 0:
-            return sparse_from_linear(np.empty(0, dtype=np.int64), resolution)
         bounds = default_bounds(mesh)
     lo = np.asarray(bounds[0], dtype=np.float64)
     hi = np.asarray(bounds[1], dtype=np.float64)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise NonFiniteGeometry(f"bounds {lo.tolist()}..{hi.tolist()} are not finite")
     if not (hi > lo).all():
         raise EmptyBounds(f"bounds {lo.tolist()}..{hi.tolist()} have non-positive extent")
     cell = (hi - lo) / resolution
     half = cell / 2.0
-
-    tri = mesh.vertices[mesh.triangles]  # (T, 3 vertices, 3)
-    # candidate box per triangle: every cell whose closed box can touch its
-    # AABB; ceil - 1 (not floor) keeps the cell below an exact boundary
-    tmin = np.clip(np.ceil((tri.min(axis=1) - lo) / cell).astype(np.int64) - 1, 0, resolution - 1)
-    tmax = np.clip(np.floor((tri.max(axis=1) - lo) / cell).astype(np.int64), 0, resolution - 1)
-    dims = tmax - tmin + 1
-    offsets = np.concatenate([[0], np.cumsum(np.prod(dims, axis=1))])
 
     axes = _sat_axes(tri)
     ax, ay, az = axes[..., 0], axes[..., 1], axes[..., 2]  # (13, T) each
@@ -123,17 +208,9 @@ def voxelize_mesh(mesh: TriMesh, resolution: int, bounds=None) -> SparseStructur
     rad = half[0] * np.abs(ax) + half[1] * np.abs(ay) + half[2] * np.abs(az)
 
     r2 = resolution * resolution
-    hits = []
-    for start in range(0, int(offsets[-1]), _SAT_CHUNK):
-        pair = np.arange(start, min(start + _SAT_CHUNK, int(offsets[-1])), dtype=np.int64)
-        t = np.searchsorted(offsets, pair, side="right") - 1
-        local = pair - offsets[t]
-        d = dims[t]
-        ix, rem = np.divmod(local, d[:, 1] * d[:, 2])
-        iy, iz = np.divmod(rem, d[:, 2])
-        ix += tmin[t, 0]
-        iy += tmin[t, 1]
-        iz += tmin[t, 2]
+    hits = [np.empty(0, dtype=np.int64)]
+    for t, ix, iy, iz in _candidate_pairs(tri, lo, cell, resolution, axes[0],
+                                          pmin[0] - rad[0], pmax[0] + rad[0]):
         cx = lo[0] + (ix + 0.5) * cell[0]
         cy = lo[1] + (iy + 0.5) * cell[1]
         cz = lo[2] + (iz + 0.5) * cell[2]
@@ -146,10 +223,8 @@ def voxelize_mesh(mesh: TriMesh, resolution: int, bounds=None) -> SparseStructur
             t, cx, cy, cz, lin = t[keep], cx[keep], cy[keep], cz[keep], lin[keep]
             if not len(t):
                 break
-        hits.append(np.unique(lin))
-
-    lin = np.unique(np.concatenate(hits)) if hits else np.empty(0, dtype=np.int64)
-    return sparse_from_linear(lin, resolution)
+        hits.append(_sorted_unique(lin))
+    return sparse_from_linear(_sorted_unique(np.concatenate(hits)), resolution)
 
 
 # Quad corner offsets per face direction, wound counter-clockwise viewed
@@ -208,8 +283,16 @@ def extract_surface_mesh(s: SparseStructure) -> TriMesh:
 
 def save_obj(mesh: TriMesh, path) -> None:
     """OBJ-compatible text export: v/f records, 1-based indices."""
+    v = mesh.vertices
+    # %d writes what %.9g writes for an integer below 1e9 in magnitude
+    # (1e9 itself is "1e+09"), except -0.0, and is several times faster;
+    # surface-mesh corners always qualify
+    if (np.abs(v) < 1e9).all() and (v == np.trunc(v)).all() and not np.signbit(v[v == 0]).any():
+        vertices = (v.astype(np.int64), "v %d %d %d\n")
+    else:
+        vertices = (v, "v %.9g %.9g %.9g\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for rows, record in ((mesh.vertices, "v %.9g %.9g %.9g\n"), (mesh.triangles + 1, "f %d %d %d\n")):
+        for rows, record in (vertices, (mesh.triangles + 1, "f %d %d %d\n")):
             for i in range(0, len(rows), _OBJ_BATCH):
                 batch = rows[i:i + _OBJ_BATCH]
                 fh.write(record * len(batch) % tuple(batch.ravel().tolist()))

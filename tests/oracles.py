@@ -3,11 +3,13 @@
 Everything here is deliberately written the slow, obvious way and shares
 no code with the package: dense brute force, BFS flood fill, scalar SAT,
 quadratic scans, the per-triangle and per-voxel loops the mesh layer used
-before it was vectorised, the one-array-per-component labelling the
-merge layer used before its flat layout, the NVX codec that staged
-whole files in copied buffers before the codec streamed its parts, the
-linear-index formula that built three int64 temporaries, and the
-Chamfer that queried every voxel on balanced KD-trees.
+before it was vectorised, the batched SAT over every cell of each
+triangle's bounding box that it ran before it pruned columns, the
+one-array-per-component labelling the merge layer used before its flat
+layout, the NVX codec that staged whole files in copied buffers before
+the codec streamed its parts, the linear-index formula that built three
+int64 temporaries, and the Chamfer that queried every voxel on balanced
+KD-trees.
 """
 from __future__ import annotations
 
@@ -219,6 +221,68 @@ def voxelize_mesh_loop(vertices, triangles, resolution, lo, hi) -> set:
         hit = _triangle_cell_overlaps(tri, lo + (idx + 0.5) * cell, half)
         occupied.update(map(tuple, idx[hit].tolist()))
     return occupied
+
+
+def voxelize_mesh_aabb(vertices, triangles, resolution, lo, hi, chunk=1 << 16) -> np.ndarray:
+    """The batched voxelization the library used before it pruned columns:
+    every cell of each triangle's candidate box (from ``ceil - 1`` of its
+    minimum, so the cell touched from below is kept) goes through the
+    13-axis SAT, face normal first, in batches of ``chunk`` (triangle,
+    cell) pairs.  Returns the (N, 3) int64 coords in linear-index order."""
+    vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
+    tri = vertices[np.asarray(triangles, dtype=np.int64).reshape(-1, 3)]
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    cell = (hi - lo) / resolution
+    half = cell / 2.0
+    tmin = np.clip(np.ceil((tri.min(axis=1) - lo) / cell).astype(np.int64) - 1, 0, resolution - 1)
+    tmax = np.clip(np.floor((tri.max(axis=1) - lo) / cell).astype(np.int64), 0, resolution - 1)
+    dims = tmax - tmin + 1
+    offsets = np.concatenate([[0], np.cumsum(np.prod(dims, axis=1))])
+
+    e = (tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2])
+    zero = np.zeros(len(tri))
+    axes = [np.cross(e[0], e[1])]
+    for ex, ey, ez in ((ej[:, 0], ej[:, 1], ej[:, 2]) for ej in e):
+        axes.append(np.stack([zero, -ez, ey], axis=1))
+        axes.append(np.stack([ez, zero, -ex], axis=1))
+        axes.append(np.stack([-ey, ex, zero], axis=1))
+    axes.extend(np.broadcast_to(unit, (len(tri), 3)) for unit in np.eye(3))
+    axes = np.stack(axes)
+    ax, ay, az = axes[..., 0], axes[..., 1], axes[..., 2]
+    proj = tri[None, :, :, 0] * ax[..., None] + tri[None, :, :, 1] * ay[..., None] \
+        + tri[None, :, :, 2] * az[..., None]
+    pmin, pmax = proj.min(axis=2), proj.max(axis=2)
+    rad = half[0] * np.abs(ax) + half[1] * np.abs(ay) + half[2] * np.abs(az)
+
+    r2 = resolution * resolution
+    hits = [np.empty(0, dtype=np.int64)]
+    for start in range(0, int(offsets[-1]), chunk):
+        pair = np.arange(start, min(start + chunk, int(offsets[-1])), dtype=np.int64)
+        t = np.searchsorted(offsets, pair, side="right") - 1
+        local = pair - offsets[t]
+        d = dims[t]
+        ix, rem = np.divmod(local, d[:, 1] * d[:, 2])
+        iy, iz = np.divmod(rem, d[:, 2])
+        ix += tmin[t, 0]
+        iy += tmin[t, 1]
+        iz += tmin[t, 2]
+        cx = lo[0] + (ix + 0.5) * cell[0]
+        cy = lo[1] + (iy + 0.5) * cell[1]
+        cz = lo[2] + (iz + 0.5) * cell[2]
+        lin = ix * r2 + iy * resolution + iz
+        for k in range(len(axes)):
+            c = cx * ax[k, t] + cy * ay[k, t] + cz * az[k, t]
+            r = rad[k, t]
+            keep = ~((pmin[k, t] - c > r) | (pmax[k, t] - c < -r))
+            t, cx, cy, cz, lin = t[keep], cx[keep], cy[keep], cz[keep], lin[keep]
+            if not len(t):
+                break
+        hits.append(np.unique(lin))
+    lin = np.unique(np.concatenate(hits))
+    x, rem = np.divmod(lin, r2)
+    y, z = np.divmod(rem, resolution)
+    return np.stack([x, y, z], axis=1)
 
 
 # Quad corner offsets per face direction, wound counter-clockwise viewed

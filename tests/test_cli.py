@@ -178,6 +178,19 @@ def test_voxelize_and_surface(tmp_path, capsys):
     assert obj_out.read_text().startswith("v ")
 
 
+def test_voxelize_rejects_non_finite_input(tmp_path, capsys):
+    finite = "v 0.1 0.1 0.1\nv 0.5 0.5 0.5\nv 0.9 0.9 0.2\nf 1 2 3\n"
+    out = tmp_path / "v.nvx"
+    for i, (vertex, bounds) in enumerate([("nan", ["0", "0", "0", "1", "1", "1"]), ("inf", []),
+                                          ("0.5", ["0", "0", "0", "inf", "1", "1"])]):
+        obj = tmp_path / f"in{i}.obj"
+        obj.write_text(finite.replace("v 0.5", f"v {vertex}"))
+        argv = ["voxelize", "--mesh", str(obj), "--resolution", "8", "--out", str(out)]
+        code, stdout, err = run_cli(capsys, *argv, *(["--bounds", *bounds] if bounds else []))
+        assert code == 1 and stdout == "" and "not finite" in err, vertex
+        assert not out.exists()
+
+
 def test_slat_merge_command(tmp_path, capsys):
     rng = np.random.default_rng(73)
     src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=73)

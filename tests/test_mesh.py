@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxedit import extract_surface_mesh, load_obj, make_mesh, make_sparse, save_obj, voxelize_mesh
 from voxedit import mesh as mesh_module
-from voxedit.errors import EmptyBounds
+from voxedit.errors import EmptyBounds, NonFiniteGeometry
 from voxedit.mesh import count_exposed_faces
 
 from oracles import (
@@ -13,6 +15,7 @@ from oracles import (
     save_obj_loop,
     surface_mesh_loop,
     voxelize_brute_force,
+    voxelize_mesh_aabb,
     voxelize_mesh_loop,
 )
 
@@ -124,19 +127,85 @@ def test_voxelize_includes_cell_touched_from_below():
     assert voxel_set(s) == voxelize_brute_force(verts, [(0, 1, 2)], 4, (0, 0, 0), (1, 1, 1))
 
 
+# a tilted triangle whose bounding box is nearly the whole unit cube
+SPANNING = [[0.01, 0.01, 0.01], [0.99, 0.02, 0.5], [0.3, 0.99, 0.99]]
+
+
 def test_voxelize_grid_spanning_triangle_memory_is_bounded():
-    # about 2M candidate cells; the SAT batches keep the peak far below the
-    # ~100 MiB that testing them all at once would take
-    verts = [[0.01, 0.01, 0.01], [0.99, 0.02, 0.5], [0.3, 0.99, 0.99]]
-    mesh = make_mesh(verts, [(0, 1, 2)])
-    tracemalloc.start()
-    try:
-        s = voxelize_mesh(mesh, 128, ((0, 0, 0), (1, 1, 1)))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
-    assert s.voxel_sum > 128 * 128
+    # the batches of columns and of (triangle, cell) pairs keep the peak
+    # bounded whatever the size of one triangle's candidate box
+    mesh = make_mesh(SPANNING, [(0, 1, 2)])
+    for resolution in (128, 256):
+        tracemalloc.start()
+        try:
+            s = voxelize_mesh(mesh, resolution, ((0, 0, 0), (1, 1, 1)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, resolution
+        assert s.voxel_sum > resolution * resolution
+
+
+def test_voxelize_candidate_pairs_grow_like_r_squared(monkeypatch):
+    # the triangle's bounding box holds ~R^3 cells, its pruned columns
+    # ~R^2 candidate pairs: about 4x, not 8x, per doubling of R
+    pairs = []
+    candidate_pairs = mesh_module._candidate_pairs
+
+    def counting(*args):
+        for batch in candidate_pairs(*args):
+            pairs[-1] += len(batch[0])
+            yield batch
+
+    monkeypatch.setattr(mesh_module, "_candidate_pairs", counting)
+    mesh = make_mesh(SPANNING, [(0, 1, 2)])
+    for resolution in (64, 128, 256):
+        pairs.append(0)
+        voxelize_mesh(mesh, resolution, ((0, 0, 0), (1, 1, 1)))
+    assert all(3.5 < b / a < 4.5 for a, b in zip(pairs, pairs[1:])), pairs
+
+
+@st.composite
+def triangle_soups(draw):
+    """Up to four triangles with non-cubic bounds, offset and scaled by up
+    to 1e6, at power-of-two and other R; each triangle is generic,
+    axis-aligned, snapped to half-cell multiples, collinear or a point,
+    and may reach outside the bounds."""
+    resolution = draw(st.sampled_from([2, 3, 5, 7, 8, 12, 13, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = rng.uniform(-1e6, 1e6, 3) if draw(st.booleans()) else np.zeros(3)
+    extent = 10.0 ** rng.uniform(-3, 6, 3) if draw(st.booleans()) else np.ones(3)
+    kinds = draw(st.lists(st.sampled_from(["generic", "axis", "snapped", "collinear", "point"]),
+                          min_size=1, max_size=4))
+    unit = []
+    for kind in kinds:
+        if kind == "snapped":
+            u = rng.integers(-2, 2 * resolution + 3, (3, 3)) / (2 * resolution)
+        else:
+            u = rng.uniform(-0.2, 1.2, (3, 3))
+        if kind == "axis":
+            u[:, rng.integers(3)] = rng.integers(0, 2 * resolution + 1) / (2 * resolution)
+        elif kind == "collinear":
+            u[2] = u[0] + rng.uniform(-1, 2) * (u[1] - u[0])
+        elif kind == "point":
+            u[1:] = u[0]
+        unit.append(u)
+    verts = lo + np.concatenate(unit) * extent
+    return verts, np.arange(len(verts)).reshape(-1, 3), resolution, (lo, lo + extent)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 5, 1000])
+@settings(max_examples=100, deadline=None)
+@given(case=triangle_soups())
+def test_voxelize_equals_unpruned_aabb_oracle(chunk, case):
+    # column pruning drops only cells the face-normal axis rejects, so the
+    # voxel set equals the SAT over every cell of each bounding box
+    verts, tris, resolution, bounds = case
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(mesh_module, "_SAT_CHUNK", chunk)
+        got = voxelize_mesh(make_mesh(verts, tris), resolution, bounds).coords
+    assert np.array_equal(got, voxelize_mesh_aabb(verts, tris, resolution, *bounds))
 
 
 def test_degenerate_triangle_contributes_cells():
@@ -190,6 +259,26 @@ def test_default_bounds_cover_mesh():
     mesh = unit_cube_mesh()
     s = voxelize_mesh(mesh, 8)  # AABB + margin
     assert s.voxel_sum > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    verts = np.array([[0.1, 0.1, 0.1], [0.9, 0.2, 0.3], [0.4, 0.8, 0.6], [0.5, 0.5, 0.5]])
+    tris = [(0, 1, 2), (1, 2, 3)]
+    corrupt = verts.copy()
+    corrupt[3, 1] = bad
+    mesh = make_mesh(corrupt, tris)  # meshes may hold non-finite vertices
+    with pytest.raises(NonFiniteGeometry, match="vertex 3"):
+        voxelize_mesh(mesh, 8, ((0, 0, 0), (1, 1, 1)))
+    with pytest.raises(NonFiniteGeometry):
+        voxelize_mesh(mesh, 8)
+    for bounds in (((0, 0, 0), (bad, 1, 1)), ((bad, 0, 0), (1, 1, 1))):
+        with pytest.raises(NonFiniteGeometry, match="bounds"):
+            voxelize_mesh(make_mesh(verts, tris), 8, bounds)
+    # a vertex that no triangle uses does not enter explicit bounds
+    unused = make_mesh(corrupt, tris[:1])
+    expected = voxelize_mesh(make_mesh(verts, tris[:1]), 8, ((0, 0, 0), (1, 1, 1)))
+    assert voxelize_mesh(unused, 8, ((0, 0, 0), (1, 1, 1))) == expected
 
 
 # --- surface extraction ------------------------------------------------
@@ -289,6 +378,15 @@ def test_save_obj_bytes_equal_loop_reference(tmp_path, monkeypatch, batch):
     odd = np.array([[-0.0, 1e-12, 1e12], [0.1, -1 / 3, 2.5e-300], [123456789.123, -7.0, 1e300],
                     [np.inf, -np.inf, np.nan]])
     meshes = [extract_surface_mesh(s) for s in surface_cases()]
+    # integral vertices are written with %d; at 1e9, at -0.0 and off the
+    # integers %.9g prints something else, so those stay on %.9g
+    tris = [(0, 1, 2)]
+    for corners in ([[999999999.0, -999999999.0, 0], [1, 2, 3], [4, 5, 6]],
+                    [[1e9, 0, 0], [1, 2, 3], [4, 5, 6]],
+                    [[0, -0.0, 1], [1, 2, 3], [4, 5, 6]],
+                    [[-1, -2, -3], [-40, 0, 7], [-123456789, 5, -6]],
+                    [[0, 1, 2], [3, 0.5, 4], [5, 6, 7]]):
+        meshes.append(make_mesh(corners, tris))
     for n in (1, 4, 5000):
         verts = np.concatenate([odd, rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-15, 15, (n, 1))])
         meshes.append(make_mesh(verts, rng.integers(0, len(verts), size=(n, 3))))
