@@ -138,6 +138,15 @@ def _keyed(s: SparseStructure, lin: np.ndarray) -> SparseStructure:
     return s
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` by sort and compare; numpy 2.4's hash-based
+    ``np.unique`` takes 15-45x as long on 30k-160k int64 keys."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def make_sparse(coords, resolution: int = DEFAULT_RESOLUTION) -> SparseStructure:
     """Canonicalize a coordinate collection into a :class:`SparseStructure`.
 
@@ -145,7 +154,7 @@ def make_sparse(coords, resolution: int = DEFAULT_RESOLUTION) -> SparseStructure
     outside ``[0, resolution)`` raises :class:`OutOfBounds`.
     """
     resolution = check_resolution(resolution)
-    lin = np.unique(linear_index(_parse_coords(coords, resolution), resolution))
+    lin = _sorted_unique(linear_index(_parse_coords(coords, resolution), resolution))
     s = SparseStructure(resolution=resolution, coords=_freeze(coords_from_linear(lin, resolution)))
     return _keyed(s, lin)
 

@@ -13,7 +13,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ChannelMismatch, GridTooLarge, MissingLatent
 from .grid import (
@@ -33,13 +32,6 @@ DEFAULT_TAU = 100
 
 # cap on the dense labelling box: 256^3 cells, ~80 MiB of bool plus int32 labels
 _LABEL_MAX_CELLS = 1 << 24
-
-# scipy structuring elements: rank 1 = faces, 2 = faces+edges, 3 = all 26
-_STRUCTURE = {
-    6: ndimage.generate_binary_structure(3, 1),
-    18: ndimage.generate_binary_structure(3, 2),
-    26: ndimage.generate_binary_structure(3, 3),
-}
 
 
 @dataclass(frozen=True)
@@ -126,7 +118,7 @@ def label_components(d: SparseStructure, connectivity: int = DEFAULT_CONNECTIVIT
     canonical linear order.  A bounding box of more than
     ``_LABEL_MAX_CELLS`` cells raises :class:`GridTooLarge`.
     """
-    if connectivity not in _STRUCTURE:
+    if connectivity not in CONNECTIVITIES:
         raise ValueError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
     if d.voxel_sum == 0:
         return ComponentSet(d.resolution, connectivity, d.coords, np.empty(0, dtype=np.int64), [])
@@ -138,7 +130,12 @@ def label_components(d: SparseStructure, connectivity: int = DEFAULT_CONNECTIVIT
     local = tuple((d.coords - lo).T)
     grid = np.zeros(shape, dtype=bool)
     grid[local] = True
-    labeled, _ = ndimage.label(grid, structure=_STRUCTURE[connectivity])
+    # scipy loads on the first label, not with the package
+    from scipy import ndimage
+
+    # structuring element rank 1 = faces (6), 2 = faces+edges (18), 3 = all 26
+    structure = ndimage.generate_binary_structure(3, CONNECTIVITIES.index(connectivity) + 1)
+    labeled, _ = ndimage.label(grid, structure=structure)
     labels = labeled[local] - 1
     # every label occurs, so first[j] is the position of label j's first voxel
     _, first = np.unique(labels, return_index=True)

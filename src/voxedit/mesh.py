@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyBounds, NonFiniteGeometry
-from .grid import SparseStructure, _freeze, check_resolution, membership, sparse_from_linear
+from .grid import SparseStructure, _freeze, _sorted_unique, check_resolution, membership, sparse_from_linear
 
 BOUNDS_MARGIN = 1e-6
 
@@ -102,15 +102,6 @@ def _sat_axes(tri: np.ndarray) -> np.ndarray:
         axes.append(np.stack([-ey, ex, zero], axis=1))  # z-hat cross e
     axes.extend(np.broadcast_to(unit, (len(tri), 3)) for unit in np.eye(3))
     return np.stack(axes)
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """``np.unique(a)`` by sort and compare; numpy 2.4's hash-based
-    ``np.unique`` takes about 20x as long on 30k int64 keys."""
-    a = np.sort(a)
-    keep = np.ones(len(a), dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
 
 
 def _candidate_pairs(tri, lo, cell, resolution, normal, slab_lo, slab_hi):

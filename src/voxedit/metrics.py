@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptySet
 from .grid import SparseStructure, linear_index, membership, require_same_resolution
@@ -15,6 +14,9 @@ from .merge import FlipMask, diff_xor
 def _nn_sq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distance from each point of ``p`` to its nearest neighbour in
     ``q``, taken from the coordinates rather than the tree's distances."""
+    # scipy loads on the first query, not with the package
+    from scipy.spatial import cKDTree
+
     # an unbalanced tree builds in half the time and its queries stay exact
     _, idx = cKDTree(q, balanced_tree=False, compact_nodes=False).query(p)
     return np.sum((p - q[idx]) ** 2, axis=1)

@@ -8,8 +8,9 @@ triangle's bounding box that it ran before it pruned columns, the
 one-array-per-component labelling the merge layer used before its flat
 layout, the NVX codec that staged whole files in copied buffers before
 the codec streamed its parts, the linear-index formula that built three
-int64 temporaries, and the Chamfer that queried every voxel on balanced
-KD-trees.
+int64 temporaries, the Chamfer that queried every voxel on balanced
+KD-trees, and the ``np.unique`` canonicalization that ``make_sparse`` ran
+before it deduplicated by sort and compare.
 """
 from __future__ import annotations
 
@@ -123,6 +124,16 @@ def linear_index_formula(coords, resolution: int) -> np.ndarray:
     c = np.asarray(coords, dtype=np.int64)
     r = int(resolution)
     return c[:, 0] * r * r + c[:, 1] * r + c[:, 2]
+
+
+def make_sparse_unique(coords, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical ``(uint16 coords, int64 linear keys)`` of in-range integer
+    coords, deduplicated by ``np.unique``."""
+    r = int(resolution)
+    lin = np.unique(linear_index_formula(np.asarray(coords, dtype=np.int64).reshape(-1, 3), r))
+    x, rem = np.divmod(lin, r * r)
+    y, z = np.divmod(rem, r)
+    return np.stack([x, y, z], axis=1).astype(np.uint16), lin
 
 
 def merge_oracle(src_grid: np.ndarray, tgt_grid: np.ndarray, mask_grid: np.ndarray) -> np.ndarray:

@@ -14,10 +14,14 @@ from hypothesis import strategies as st
 import voxedit
 from voxedit import (
     Threshold,
+    chamfer_voxels,
+    diff_xor,
     extract_surface_mesh,
+    label_components,
     make_latent,
     make_sparse,
     read_nvx,
+    save_obj,
     voxel_merge,
     write_nvx,
 )
@@ -409,6 +413,72 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["output"][0] == pytest.approx(1.0, abs=1e-6)
+
+
+COLD_START_CHILD = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+import voxedit, voxedit.cli
+from voxedit import chamfer_voxels, diff_xor, label_components, read_nvx
+
+d = Path(sys.argv[1])
+commands = [
+    ["--help"],
+    ["voxelize", "--mesh", str(d / "in.obj"), "--resolution", "8", "--out", str(d / "v.nvx")],
+    ["surface", str(d / "v.nvx"), "--out", str(d / "v.obj")],
+    ["inspect", str(d / "src.nvx")],
+    ["diff", "--src", str(d / "src.nvx"), "--tgt", str(d / "tgt.nvx"), "--out", str(d / "d.nvx")],
+    ["slat-merge", "--src-slat", str(d / "zs.nvx"), "--tgt-slat", str(d / "zt.nvx"),
+     "--merged", str(d / "m.nvx"), "--mask", str(d / "mask.json"), "--out", str(d / "zm.nvx")],
+    ["consistency", "--src", str(d / "src.nvx"), "--tgt", str(d / "tgt.nvx"),
+     "--merged", str(d / "m.nvx"), "--mask", str(d / "mask.json")],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = voxedit.cli.dispatch(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    assert code == 0, argv
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), scipy_modules()[:5]
+src, tgt = read_nvx(d / "src.nvx"), read_nvx(d / "tgt.nvx")
+labels = {c: label_components(diff_xor(src, tgt), c) for c in (6, 18, 26)}
+result = {
+    "labels": {c: [cs.sizes, cs.rank.tolist()] for c, cs in labels.items()},
+    "chamfer": chamfer_voxels(src, tgt),
+}
+assert {"scipy.ndimage", "scipy.spatial"} <= set(scipy_modules())
+print(json.dumps(result))
+"""
+
+
+def test_commands_without_labels_or_trees_load_no_scipy(tmp_path):
+    """Importing the package and running the commands that neither label
+    nor query a KD-tree loads no scipy module; the first label and the
+    first Chamfer load it and return what this process computes."""
+    rng = np.random.default_rng(75)
+    src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=75)
+    for name, s in (("zs.nvx", src), ("zt.nvx", tgt)):
+        write_nvx(make_latent(s.coords, rng.standard_normal((s.voxel_sum, 2)), 16), tmp_path / name)
+    assert dispatch(["merge", "--src", str(src_path), "--tgt", str(tgt_path), "--tau", "3",
+                     "--out", str(tmp_path / "m.nvx"), "--mask-out", str(tmp_path / "mask.json")]) == 0
+    save_obj(extract_surface_mesh(make_sparse([(2, 2, 2), (2, 2, 3)], 8)), tmp_path / "in.obj")
+
+    package_root = str(Path(voxedit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", COLD_START_CHILD, str(tmp_path)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    got = json.loads(result.stdout)
+    for c in (6, 18, 26):
+        cs = label_components(diff_xor(src, tgt), c)
+        assert got["labels"][str(c)] == [cs.sizes, cs.rank.tolist()]
+    assert got["chamfer"] == chamfer_voxels(src, tgt)
 
 
 scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())

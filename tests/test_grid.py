@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxedit import (
@@ -19,7 +19,7 @@ from voxedit.grid import coords_from_linear, linear_index, sparse_from_linear
 from voxedit.merge import mask_all
 from voxedit.nvx import decode_nvx, encode_nvx
 
-from oracles import linear_index_formula, random_structure_coords
+from oracles import linear_index_formula, make_sparse_unique, random_structure_coords
 
 
 def test_empty_structure():
@@ -121,6 +121,32 @@ def test_canonical_form_order_independent(coords, shuffler):
     b = make_sparse(shuffled, 8)
     assert a == b
     assert a.coords.tobytes() == b.coords.tobytes()
+
+
+@st.composite
+def coord_multisets(draw):
+    """A resolution and in-range coords with repeats, in shuffled order."""
+    r = draw(st.sampled_from([2, 3, 16, 128, 65535]))
+    axis = st.integers(0, r - 1)
+    coords = draw(st.lists(st.tuples(axis, axis, axis), max_size=60))
+    if coords:
+        coords += draw(st.lists(st.sampled_from(coords), max_size=20))
+    if draw(st.booleans()):
+        coords.append((r - 1,) * 3)  # the top corner
+    return r, draw(st.permutations(coords))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coord_multisets(), st.sampled_from([list, np.uint16, np.int64]))
+@example((2, []), list)
+@example((65535, [(65534, 65534, 65534), (0, 0, 0), (65534, 65534, 65534)]), np.uint16)
+def test_make_sparse_equals_the_np_unique_oracle(case, kind):
+    r, coords = case
+    expected_coords, expected_lin = make_sparse_unique(coords, r)
+    s = make_sparse(coords if kind is list else np.array(coords, dtype=kind).reshape(-1, 3), r)
+    assert s.coords.dtype == np.uint16 and s.linear().dtype == np.int64
+    assert np.array_equal(s.coords, expected_coords)
+    assert np.array_equal(s.linear(), expected_lin)
 
 
 def test_structures_immutable():

@@ -15,7 +15,6 @@ from voxedit import (
     region_consistency,
     voxel_merge,
 )
-from voxedit import metrics
 from voxedit.metrics import voxel_centers
 
 from oracles import chamfer_kdtree, chamfer_quadratic, chamfer_voxels_kdtree, random_structure_coords
@@ -138,7 +137,8 @@ def test_chamfer_voxels_of_identical_structures_builds_no_tree(monkeypatch):
 
     rng = np.random.default_rng(58)
     s = random_structure(rng, resolution=16, density=0.2)
-    monkeypatch.setattr(metrics, "cKDTree", no_tree)
+    # _nn_sq imports cKDTree when called, so it reads the patched attribute
+    monkeypatch.setattr("scipy.spatial.cKDTree", no_tree)
     assert chamfer_voxels(s, s) == 0.0
     assert chamfer_voxels(s, make_sparse(s.coords, 16)) == 0.0
     # the patch is live: a strict subset leaves the other side cells of its own to query
