@@ -121,8 +121,9 @@ class SparseStructure:
         if grid.ndim != 3 or len(set(grid.shape)) != 1:
             raise ValueError(f"expected a cubic (R, R, R) grid, got shape {grid.shape}")
         r = check_resolution(grid.shape[0])
-        # argwhere() walks the array in C order == ascending linear index
-        return cls(resolution=r, coords=_freeze(np.argwhere(grid).astype(COORD_DTYPE)))
+        # C order is ascending linear index, so the flat positions are the sorted key
+        lin = np.flatnonzero(grid).astype(np.int64, copy=False)
+        return _keyed(cls(resolution=r, coords=_freeze(coords_from_linear(lin, r))), lin)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseStructure):
@@ -212,8 +213,9 @@ def make_latent(coords, latents, resolution: int = DEFAULT_RESOLUTION) -> Struct
     lin = linear_index(arr, resolution)
     order = np.argsort(lin, kind="stable")
     lin = lin[order]
-    if lin.size and (np.diff(lin) == 0).any():
-        dup = coords_from_linear(lin[np.nonzero(np.diff(lin) == 0)[0][:1]], resolution)[0]
+    same = lin[1:] == lin[:-1]
+    if same.any():
+        dup = coords_from_linear(lin[np.flatnonzero(same)[:1]], resolution)[0]
         raise ValueError(f"duplicate latent entry for voxel {tuple(int(c) for c in dup)}")
     return _keyed(StructuredLatent(
         resolution=resolution,

@@ -217,18 +217,27 @@ def slat_merge(
         raise ChannelMismatch(f"source C={z_src.channels} vs target C={z_tgt.channels}")
 
     out_lin = merged.linear()
-    in_mask, _ = membership(mask.linear(), out_lin)
-
-    def gather(z: StructuredLatent, lin_wanted: np.ndarray, side: str) -> np.ndarray:
-        found, pos = membership(z.linear(), lin_wanted)
-        if not np.all(found):
-            missing = coords_from_linear(lin_wanted[~found][:1], resolution)[0]
-            raise MissingLatent(missing, side)
-        return z.latents[pos]
-
-    out = np.empty((len(out_lin), z_src.channels), dtype=z_src.latents.dtype)
-    if in_mask.any():
-        out[in_mask] = gather(z_tgt, out_lin[in_mask], "target")
-    if (~in_mask).any():
-        out[~in_mask] = gather(z_src, out_lin[~in_mask], "source")
+    # the mask rows, found from the mask side; mask voxels not in ``merged`` are ignored
+    hit, rows = membership(out_lin, mask.linear())
+    rows = rows[hit]
+    found, tgt_pos = membership(z_tgt.linear(), out_lin[rows])
+    if not found.all():
+        raise _missing(out_lin[rows], found, resolution, "target")
+    found, pos = membership(z_src.linear(), out_lin)
+    found[rows] = True
+    if not found.all():
+        raise _missing(out_lin, found, resolution, "source")
+    # one gather builds every row from the source, then the mask rows take the target's
+    if z_src.voxel_sum:
+        out = z_src.latents[pos]
+    else:  # every row is a mask row, and ``pos`` points into an empty array
+        out = np.empty((len(out_lin), z_src.channels), dtype=z_src.latents.dtype)
+    del found, pos  # N-row lookups, freed before the target rows are gathered
+    out[rows] = z_tgt.latents[tgt_pos]
     return _keyed(StructuredLatent(resolution=resolution, coords=merged.coords, latents=_freeze(out)), out_lin)
+
+
+def _missing(lin: np.ndarray, found: np.ndarray, resolution: int, side: str) -> MissingLatent:
+    """The error for the first key of ``lin`` (in linear order) not ``found``."""
+    i = int(np.argmin(found))
+    return MissingLatent(coords_from_linear(lin[i:i + 1], resolution)[0], side)

@@ -93,7 +93,7 @@ def decode_nvx(data: bytes):
     if count and int(coords.max()) >= resolution:
         raise MalformedNvx("coordinate out of bounds for stored resolution")
     lin = linear_index(coords, resolution)
-    if count > 1 and not (np.diff(lin) > 0).all():
+    if not (lin[1:] > lin[:-1]).all():
         raise MalformedNvx("coords not in canonical linear-index order")
     if resolution < 2:
         raise MalformedNvx(f"resolution {resolution} below minimum")

@@ -237,6 +237,23 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+# rows of float64 normals drawn at a time before the cast to float32
+_DRAW_ROWS = 4096
+
+
+def _standard_normal_f32(rng: np.random.Generator, rows: int, channels: int) -> np.ndarray:
+    """``rng.standard_normal((rows, channels)).astype(np.float32)``, bit for
+    bit, without the full-size float64 block: the generator draws one
+    stream, so drawing it in row chunks gives the same values."""
+    out = np.empty((rows, channels), dtype=np.float32)
+    buf = np.empty((min(rows, _DRAW_ROWS), channels))
+    for i in range(0, rows, _DRAW_ROWS):
+        chunk = buf[: min(_DRAW_ROWS, rows - i)]
+        rng.standard_normal(out=chunk)
+        out[i:i + len(chunk)] = chunk
+    return out
+
+
 # --- deterministic mocks ---------------------------------------------------
 
 _ELEMENTS = ("a red hat", "a small flag", "a round window", "a side pouch", "an antenna")
@@ -316,7 +333,7 @@ class MockGeneratorBackend(GeneratorBackend):
             grid = self._plant_edit(grid, digest)
         structure = SparseStructure.from_dense(grid)
         lat_rng = _rng(derive_seed("latents", image_ref, seed, self.channels))
-        latents = lat_rng.standard_normal((structure.voxel_sum, self.channels)).astype(np.float32)
+        latents = _standard_normal_f32(lat_rng, structure.voxel_sum, self.channels)
         # from_dense coords are already canonical: no need to sort them again, and they share one key
         latent = StructuredLatent(structure.resolution, structure.coords, _freeze(latents))
         return structure, _keyed(latent, structure.linear())

@@ -9,8 +9,10 @@ one-array-per-component labelling the merge layer used before its flat
 layout, the NVX codec that staged whole files in copied buffers before
 the codec streamed its parts, the linear-index formula that built three
 int64 temporaries, the Chamfer that queried every voxel on balanced
-KD-trees, and the ``np.unique`` canonicalization that ``make_sparse`` ran
-before it deduplicated by sort and compare.
+KD-trees, the ``np.unique`` canonicalization that ``make_sparse`` ran
+before it deduplicated by sort and compare, and the Slat-Merge that
+gathered each side through a boolean row mask before it built its output
+in one gather.
 """
 from __future__ import annotations
 
@@ -469,3 +471,39 @@ def decode_nvx_copying(data: bytes) -> tuple:
     if not np.isfinite(lat).all():
         raise NvxReject("MalformedNvx", "non-finite latent values")
     return kind, resolution, coords, lat
+
+
+class LatentReject(Exception):
+    """Raised by :func:`slat_merge_masked`: ``args`` are the side that lacks
+    a latent and the voxel, as the library's ``MissingLatent`` reports them."""
+
+
+def slat_merge_masked(resolution: int, src_coords, src_lat, tgt_coords, tgt_lat, mask_coords, merged_coords):
+    """The Slat-Merge before its one gather: a boolean in-mask row flag
+    from three ``searchsorted`` lookups, then each side gathered through
+    it into a preallocated output.  Coords are sorted and unique; returns
+    the merged latents or raises :class:`LatentReject` for the first
+    missing voxel in linear order, target side first."""
+    out_lin = _linear(np.asarray(merged_coords).reshape(-1, 3), resolution)
+
+    def member(keys, query):
+        if len(keys) == 0:
+            return np.zeros(len(query), dtype=bool), np.zeros(len(query), dtype=np.int64)
+        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        return keys[pos] == query, pos
+
+    in_mask, _ = member(_linear(np.asarray(mask_coords).reshape(-1, 3), resolution), out_lin)
+
+    def gather(coords, lat, wanted, side):
+        found, pos = member(_linear(np.asarray(coords).reshape(-1, 3), resolution), wanted)
+        if not np.all(found):
+            x, rem = divmod(int(wanted[~found][0]), resolution * resolution)
+            raise LatentReject(side, (x, *divmod(rem, resolution)))
+        return lat[pos]
+
+    out = np.empty((len(out_lin), src_lat.shape[1]), dtype=src_lat.dtype)
+    if in_mask.any():
+        out[in_mask] = gather(tgt_coords, tgt_lat, out_lin[in_mask], "target")
+    if (~in_mask).any():
+        out[~in_mask] = gather(src_coords, src_lat, out_lin[~in_mask], "source")
+    return out

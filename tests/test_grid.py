@@ -104,6 +104,16 @@ def test_dense_round_trip_random():
         assert SparseStructure.from_dense(s.to_dense()) == s
 
 
+def test_from_dense_is_keyed_in_c_order_for_any_layout():
+    rng = np.random.default_rng(5)
+    grid = rng.integers(0, 3, size=(9, 9, 9)) == 0
+    for g in (grid, np.asfortranarray(grid), grid.astype(np.int8) * 7):
+        s = SparseStructure.from_dense(g)
+        assert "_linear" in s.__dict__  # keyed on construction
+        assert np.array_equal(s.coords, np.argwhere(grid).astype(np.uint16))
+        assert np.array_equal(s.linear(), linear_index(s.coords, 9)) and s.linear().dtype == np.int64
+
+
 def test_from_dense_shape_check():
     with pytest.raises(ValueError):
         SparseStructure.from_dense(np.zeros((4, 4, 5), dtype=bool))

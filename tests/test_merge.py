@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from voxedit import (
     ChannelMismatch,
+    FlipMask,
     GridTooLarge,
     MissingLatent,
     ResolutionMismatch,
+    SparseStructure,
     Threshold,
     TopK,
     apply_flip,
@@ -25,12 +27,14 @@ from voxedit import merge
 from voxedit.merge import CONNECTIVITIES, mask_all
 
 from oracles import (
+    LatentReject,
     bfs_components,
     canonical_component_order,
     label_components_sorted,
     merge_oracle,
     random_structure_coords,
     select_components_concat,
+    slat_merge_masked,
 )
 
 
@@ -407,6 +411,91 @@ def test_slat_merge_missing_latent():
         slat_merge(z_src, z_tgt_incomplete, mask, merged)
     assert err.value.side == "target"
     assert err.value.coord == (3, 3, 3)
+
+
+def test_slat_merge_missing_source_latent():
+    src = make_sparse([(0, 0, 0), (1, 1, 1), (2, 2, 2)], 8)
+    tgt = make_sparse([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)], 8)
+    rng = np.random.default_rng(37)
+    z_src_incomplete = random_latent_for(make_sparse([(0, 0, 0), (2, 2, 2)], 8), rng)  # lacks (1,1,1)
+    z_tgt = random_latent_for(tgt, rng)
+    merged, mask = voxel_merge(src, tgt, policy=Threshold(0))
+    with pytest.raises(MissingLatent) as err:
+        slat_merge(z_src_incomplete, z_tgt, mask, merged)
+    assert err.value.side == "source"
+    assert err.value.coord == (1, 1, 1)
+
+
+def _cells(resolution, keys):
+    r = resolution
+    return [(k // (r * r), k // r % r, k % r) for k in keys]
+
+
+@st.composite
+def slat_cases(draw):
+    r = draw(st.integers(2, 6))
+    keys = st.lists(st.integers(0, r ** 3 - 1), unique=True, max_size=50).map(set)
+    src, tgt, mask = draw(keys), draw(keys), draw(keys)
+    # merged: what apply_flip gives, any set (mask voxels outside it, rows outside src), or mask_all
+    kind = draw(st.sampled_from(["flip", "free", "all"]))
+    merged = src ^ mask if kind == "flip" else draw(keys)
+    if kind == "all":
+        mask = merged
+    # each side either carries every latent the merge needs or whatever it drew
+    if draw(st.booleans()):
+        src = src | (merged - mask)
+    if draw(st.booleans()):
+        tgt = tgt | (merged & mask)
+    return r, src, tgt, mask, merged, kind, draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(slat_cases())
+def test_slat_merge_equals_the_masked_gather_oracle(case):
+    r, src, tgt, mask_keys, merged_keys, kind, channels, seed = case
+    rng = np.random.default_rng(seed)
+    z_src = random_latent_for(make_sparse(_cells(r, src), r), rng, channels)
+    z_tgt = random_latent_for(make_sparse(_cells(r, tgt), r), rng, channels)
+    merged = make_sparse(_cells(r, merged_keys), r)
+    if kind == "all":
+        mask = mask_all(merged)
+    else:
+        m = make_sparse(_cells(r, mask_keys), r)
+        mask = FlipMask(resolution=r, coords=m.coords, selected_sizes=(m.voxel_sum,))
+    try:
+        want = slat_merge_masked(r, z_src.coords, z_src.latents, z_tgt.coords, z_tgt.latents,
+                                 mask.coords, merged.coords)
+    except LatentReject as reject:
+        with pytest.raises(MissingLatent) as err:
+            slat_merge(z_src, z_tgt, mask, merged)
+        assert (err.value.side, err.value.coord) == reject.args
+        return
+    out = slat_merge(z_src, z_tgt, mask, merged)
+    assert np.array_equal(out.coords, merged.coords)
+    assert out.latents.dtype == want.dtype and out.latents.shape == want.shape
+    assert out.latents.tobytes() == want.tobytes()
+    assert not out.latents.flags.writeable
+
+
+def test_slat_merge_peak_memory_is_the_output_plus_row_indices():
+    rng = np.random.default_rng(38)
+    src = make_sparse(random_structure_coords(rng, 64, 0.19), 64)
+    grid = src.to_dense()
+    grid[10:30, 10:30, 10:30] = ~grid[10:30, 10:30, 10:30]
+    tgt = SparseStructure.from_dense(grid)
+    merged, mask = voxel_merge(src, tgt, policy=TopK(1))
+    z_src, z_tgt = random_latent_for(src, rng), random_latent_for(tgt, rng)
+    for x in (z_src, z_tgt, mask, merged):
+        x.linear()  # keys are built and cached outside the traced call
+    n = merged.voxel_sum
+    assert 45_000 < n < 55_000 and mask.voxel_sum > 1000
+    tracemalloc.start()
+    try:
+        out = slat_merge(z_src, z_tgt, mask, merged)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.latents.nbytes + 16 * n
 
 
 def test_labeling_deterministic_under_thread_pool():

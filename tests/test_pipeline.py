@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from voxedit import (
     run_sample,
 )
 from voxedit.merge import apply_flip, diff_xor, label_components, select_components, TopK
+from voxedit import pipeline
 from voxedit.pipeline import (
     MockGeneratorBackend,
     SampleSpec,
@@ -215,6 +217,17 @@ def test_mock_generator_rejects_grids_too_small_for_the_edit():
     for k in range(20):
         s_edit, z_edit = gen.generate(f"img-{k}::edit::{k:08x}", seed=k)
         assert s_edit.resolution == 8 and z_edit.channels == 1
+
+
+@pytest.mark.parametrize("draw_rows", [pipeline._DRAW_ROWS, 5])
+def test_chunked_mock_draw_equals_one_draw(monkeypatch, draw_rows):
+    monkeypatch.setattr(pipeline, "_DRAW_ROWS", draw_rows)
+    # no rows, one below, at and one above the chunk size, and three chunks and a bit
+    for rows, channels in product((0, draw_rows - 1, draw_rows, draw_rows + 1, 3 * draw_rows + 2), (1, 3)):
+        got = pipeline._standard_normal_f32(pipeline._rng(11), rows, channels)
+        want = pipeline._rng(11).standard_normal((rows, channels)).astype(np.float32)
+        assert got.shape == want.shape and got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
 
 def test_derive_seed_is_stable():
