@@ -37,7 +37,6 @@ from .flow import (
     euler_sample,
     flowedit_run,
     linear_schedule,
-    make_analytic_oracle,
 )
 from .grid import (
     SparseStructure,

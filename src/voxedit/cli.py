@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import VoxeditError
-from .flow import FlowEditConfig, euler_sample, flowedit_run, make_analytic_oracle
-from .grid import SparseStructure, StructuredLatent, _keyed, make_sparse
+from .flow import AffineGaussianVelocityOracle, DeltaVelocityOracle, FlowEditConfig, euler_sample, flowedit_run
+from .grid import SparseStructure, StructuredLatent, make_sparse
 from .merge import (
     CONNECTIVITIES,
     DEFAULT_CONNECTIVITY,
@@ -83,9 +83,9 @@ def _mask_report(mask: FlipMask, policy, connectivity: int) -> dict:
 
 def _mask_from_report(obj: dict) -> FlipMask:
     s = make_sparse(obj["coords"], obj["resolution"])
-    return _keyed(FlipMask(resolution=s.resolution, coords=s.coords,
-                           selected_sizes=tuple(obj.get("selected_sizes", ())),
-                           component_sizes=tuple(obj.get("component_sizes", ()))), s.linear())
+    return FlipMask(resolution=s.resolution, coords=s.coords, key=s.key,
+                    selected_sizes=tuple(obj.get("selected_sizes", ())),
+                    component_sizes=tuple(obj.get("component_sizes", ())))
 
 
 def _policy_from_args(args):
@@ -158,12 +158,8 @@ def cmd_slat_merge(args) -> int:
     z_src = _read_latent(args.src_slat)
     z_tgt = _read_latent(args.tgt_slat)
     merged = _read_structure(args.merged)
-    if args.mask_all:
-        mask = mask_all(merged)
-    else:
-        if not args.mask:
-            raise VoxeditError("need --mask MASK.json (or --mask-all)")
-        mask = _mask_from_report(json.loads(Path(args.mask).read_text(encoding="utf-8")))
+    mask = mask_all(merged) if args.mask_all else \
+        _mask_from_report(json.loads(Path(args.mask).read_text(encoding="utf-8")))
     out = slat_merge(z_src, z_tgt, mask, merged)
     write_nvx(out, args.out)
     _emit({"out": str(args.out), "voxel_sum": out.voxel_sum, "channels": out.channels,
@@ -173,11 +169,9 @@ def cmd_slat_merge(args) -> int:
 
 def _oracle_from_args(args):
     if args.oracle == "delta":
-        return make_analytic_oracle("delta", anchors={
-            "src": _vector(args.src_anchor), "tgt": _vector(args.tgt_anchor)})
-    return make_analytic_oracle("gaussian",
-                                means={"src": _vector(args.src_mean), "tgt": _vector(args.tgt_mean)},
-                                variances={"src": args.src_var, "tgt": args.tgt_var})
+        return DeltaVelocityOracle({"src": _vector(args.src_anchor), "tgt": _vector(args.tgt_anchor)})
+    return AffineGaussianVelocityOracle({"src": _vector(args.src_mean), "tgt": _vector(args.tgt_mean)},
+                                        {"src": args.src_var, "tgt": args.tgt_var})
 
 
 def _flow_config(args) -> FlowEditConfig:
@@ -313,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src-slat", required=True, help="source latent NVX")
     p.add_argument("--tgt-slat", required=True, help="edited latent NVX")
     p.add_argument("--merged", required=True, help="merged occupancy NVX")
-    p.add_argument("--mask", help="mask JSON from `merge --mask-out`")
-    p.add_argument("--mask-all", action="store_true",
-                   help="take every merged voxel's latent from the target side")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--mask", help="mask JSON from `merge --mask-out`")
+    group.add_argument("--mask-all", action="store_true",
+                       help="take every merged voxel's latent from the target side")
     p.add_argument("--out", required=True, help="output latent NVX path")
     p.set_defaults(func=cmd_slat_merge)
 

@@ -134,16 +134,6 @@ class AffineGaussianVelocityOracle(VelocityOracle):
         return (np.asarray(z, dtype=np.float64) - self.posterior_mean(z, t, condition)) / t
 
 
-def make_analytic_oracle(kind: str, **params) -> VelocityOracle:
-    """Convenience factory: kind 'delta' (anchors=...) or 'gaussian'
-    (means=..., variances=...)."""
-    if kind == "delta":
-        return DeltaVelocityOracle(params["anchors"])
-    if kind == "gaussian":
-        return AffineGaussianVelocityOracle(params["means"], params["variances"])
-    raise ValueError(f"unknown oracle kind {kind!r}")
-
-
 def _noise_stream(seed: int, step: int, draw: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1), counter=[0, 0, step, draw]))
 

@@ -1,4 +1,4 @@
-"""Canonical sparse voxel structures and dense-grid conversion.
+"""Canonical sparse voxel structures.
 
 A sparse structure is the set of occupied cells of an R^3 grid, stored as
 coordinates sorted by the linear index ``i = x*R^2 + y*R + z``.  That one
@@ -7,7 +7,7 @@ total order is used everywhere: sorting, tie-breaking, and serialization.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,9 +46,14 @@ def coords_from_linear(lin: np.ndarray, resolution: int) -> np.ndarray:
     """Inverse of :func:`linear_index`; returns ``(N, 3)`` uint16 coords."""
     lin = np.asarray(lin, dtype=np.int64)
     r = int(resolution)
-    x, rem = np.divmod(lin, r * r)
-    y, z = np.divmod(rem, r)
-    return np.stack([x, y, z], axis=1).astype(COORD_DTYPE)
+    # peels z, then y, off the key in place: two int64 temporaries in all
+    out = np.empty((len(lin), 3), dtype=COORD_DTYPE)
+    q, m = np.divmod(lin, r)
+    out[:, 2] = m
+    np.divmod(q, r, out=(q, m))
+    out[:, 1] = m
+    out[:, 0] = q
+    return out
 
 
 def membership(sorted_lin: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,38 +87,32 @@ def _parse_coords(coords, resolution: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class SparseStructure:
     """Sorted, duplicate-free set of occupied voxel coordinates.
 
-    Instances are immutable values; construct them through
-    :func:`make_sparse` or :meth:`from_dense` so the canonical invariants
-    hold.
+    Instances are immutable values: construction marks every array field
+    read-only, the caller's arrays included.  ``key`` is the sorted int64
+    linear index of ``coords``; it is computed when not passed, and a
+    constructor that passes it vouches that it is exact.  Build through
+    :func:`make_sparse` or :meth:`from_dense` so the canonical order holds.
     """
 
     resolution: int
     coords: np.ndarray = field(repr=False)  # (N, 3) uint16, sorted by linear index
+    key: np.ndarray = field(default=None, repr=False, kw_only=True)  # (N,) int64
+
+    def __post_init__(self):
+        if self.key is None:
+            object.__setattr__(self, "key", linear_index(self.coords, self.resolution))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def voxel_sum(self) -> int:
         return int(self.coords.shape[0])
-
-    def linear(self) -> np.ndarray:
-        """Sorted int64 linear index of ``coords``, computed once; read-only."""
-        if "_linear" not in self.__dict__:
-            _keyed(self, linear_index(self.coords, self.resolution))
-        return self.__dict__["_linear"]
-
-    def to_dense(self) -> np.ndarray:
-        """Dense boolean occupancy grid of shape ``(R, R, R)``."""
-        grid = np.zeros((self.resolution,) * 3, dtype=bool)
-        grid[self.coords[:, 0], self.coords[:, 1], self.coords[:, 2]] = True
-        return grid
 
     @classmethod
     def from_dense(cls, grid: np.ndarray) -> "SparseStructure":
@@ -123,7 +122,7 @@ class SparseStructure:
         r = check_resolution(grid.shape[0])
         # C order is ascending linear index, so the flat positions are the sorted key
         lin = np.flatnonzero(grid).astype(np.int64, copy=False)
-        return _keyed(cls(resolution=r, coords=_freeze(coords_from_linear(lin, r))), lin)
+        return cls(resolution=r, coords=coords_from_linear(lin, r), key=lin)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseStructure):
@@ -131,12 +130,6 @@ class SparseStructure:
         # a latent never equals a plain structure, whichever side it is on
         return (isinstance(self, StructuredLatent) == isinstance(other, StructuredLatent)
                 and self.resolution == other.resolution and np.array_equal(self.coords, other.coords))
-
-
-def _keyed(s: SparseStructure, lin: np.ndarray) -> SparseStructure:
-    """Cache ``lin == linear_index(s.coords)`` as the key of ``s``, read-only."""
-    s.__dict__["_linear"] = _freeze(lin)
-    return s
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -156,15 +149,13 @@ def make_sparse(coords, resolution: int = DEFAULT_RESOLUTION) -> SparseStructure
     """
     resolution = check_resolution(resolution)
     lin = _sorted_unique(linear_index(_parse_coords(coords, resolution), resolution))
-    s = SparseStructure(resolution=resolution, coords=_freeze(coords_from_linear(lin, resolution)))
-    return _keyed(s, lin)
+    return SparseStructure(resolution=resolution, coords=coords_from_linear(lin, resolution), key=lin)
 
 
 def sparse_from_linear(lin: np.ndarray, resolution: int) -> SparseStructure:
     """Build a structure from sorted, unique, in-range linear indices; they become its key."""
     lin = np.asarray(lin, dtype=np.int64)
-    s = SparseStructure(resolution=int(resolution), coords=_freeze(coords_from_linear(lin, resolution)))
-    return _keyed(s, lin)
+    return SparseStructure(resolution=int(resolution), coords=coords_from_linear(lin, resolution), key=lin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +171,6 @@ class StructuredLatent(SparseStructure):
     @property
     def channels(self) -> int:
         return int(self.latents.shape[1])
-
-    def structure(self) -> SparseStructure:
-        return SparseStructure(resolution=self.resolution, coords=self.coords)
 
     def __eq__(self, other) -> bool:
         same = super().__eq__(other)  # True only if other is a latent too
@@ -217,11 +205,12 @@ def make_latent(coords, latents, resolution: int = DEFAULT_RESOLUTION) -> Struct
     if same.any():
         dup = coords_from_linear(lin[np.flatnonzero(same)[:1]], resolution)[0]
         raise ValueError(f"duplicate latent entry for voxel {tuple(int(c) for c in dup)}")
-    return _keyed(StructuredLatent(
+    return StructuredLatent(
         resolution=resolution,
-        coords=_freeze(coords_from_linear(lin, resolution)),
-        latents=_freeze(np.ascontiguousarray(lat[order])),
-    ), lin)
+        coords=coords_from_linear(lin, resolution),
+        latents=np.ascontiguousarray(lat[order]),
+        key=lin,
+    )
 
 
 def require_same_resolution(*objs) -> int:

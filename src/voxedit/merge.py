@@ -18,8 +18,6 @@ from .errors import ChannelMismatch, GridTooLarge, MissingLatent
 from .grid import (
     SparseStructure,
     StructuredLatent,
-    _freeze,
-    _keyed,
     coords_from_linear,
     membership,
     require_same_resolution,
@@ -72,14 +70,6 @@ class ComponentSet:
     rank: np.ndarray = field(repr=False)    # (N,) canonical position of each voxel's component
     sizes: list  # of int, in canonical order
 
-    @property
-    def components(self) -> tuple:
-        """One ``(N_j, 3)`` array per component, each in linear order."""
-        if not self.sizes:
-            return ()
-        grouped = self.coords[np.argsort(self.rank, kind="stable")]
-        return tuple(_freeze(c) for c in np.split(grouped, np.cumsum(self.sizes)[:-1]))
-
 
 @dataclass(frozen=True, eq=False)
 class FlipMask(SparseStructure):
@@ -106,7 +96,7 @@ def _xor_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def diff_xor(s_src: SparseStructure, s_tgt: SparseStructure) -> SparseStructure:
     """Difference map: cells whose occupancy differs between the inputs."""
     resolution = require_same_resolution(s_src, s_tgt)
-    return sparse_from_linear(_xor_sorted(s_src.linear(), s_tgt.linear()), resolution)
+    return sparse_from_linear(_xor_sorted(s_src.key, s_tgt.key), resolution)
 
 
 def label_components(d: SparseStructure, connectivity: int = DEFAULT_CONNECTIVITY) -> ComponentSet:
@@ -162,7 +152,7 @@ def select_components(cs: ComponentSet, policy) -> FlipMask:
         raise TypeError(f"unknown selection policy {policy!r}")
     return FlipMask(
         resolution=cs.resolution,
-        coords=_freeze(cs.coords[cs.rank < n]),
+        coords=cs.coords[cs.rank < n],
         selected_sizes=tuple(cs.sizes[:n]),
         component_sizes=tuple(cs.sizes),
     )
@@ -172,7 +162,7 @@ def apply_flip(s_src: SparseStructure, mask: FlipMask) -> SparseStructure:
     """Toggle occupancy exactly at the mask coords; everywhere else the
     source is untouched."""
     resolution = require_same_resolution(s_src, mask)
-    return sparse_from_linear(_xor_sorted(s_src.linear(), mask.linear()), resolution)
+    return sparse_from_linear(_xor_sorted(s_src.key, mask.key), resolution)
 
 
 def voxel_merge(
@@ -200,8 +190,8 @@ def mask_all(merged: SparseStructure) -> FlipMask:
     """Escape-hatch mask covering every merged voxel, so a latent merge
     takes the full target side.  Useful for pure-appearance edits where
     the occupancy difference map is empty."""
-    mask = FlipMask(resolution=merged.resolution, coords=merged.coords, selected_sizes=(merged.voxel_sum,))
-    return _keyed(mask, merged.linear())
+    return FlipMask(resolution=merged.resolution, coords=merged.coords, key=merged.key,
+                    selected_sizes=(merged.voxel_sum,))
 
 
 def slat_merge(
@@ -216,14 +206,14 @@ def slat_merge(
     if z_src.channels != z_tgt.channels:
         raise ChannelMismatch(f"source C={z_src.channels} vs target C={z_tgt.channels}")
 
-    out_lin = merged.linear()
+    out_lin = merged.key
     # the mask rows, found from the mask side; mask voxels not in ``merged`` are ignored
-    hit, rows = membership(out_lin, mask.linear())
+    hit, rows = membership(out_lin, mask.key)
     rows = rows[hit]
-    found, tgt_pos = membership(z_tgt.linear(), out_lin[rows])
+    found, tgt_pos = membership(z_tgt.key, out_lin[rows])
     if not found.all():
         raise _missing(out_lin[rows], found, resolution, "target")
-    found, pos = membership(z_src.linear(), out_lin)
+    found, pos = membership(z_src.key, out_lin)
     found[rows] = True
     if not found.all():
         raise _missing(out_lin, found, resolution, "source")
@@ -234,7 +224,7 @@ def slat_merge(
         out = np.empty((len(out_lin), z_src.channels), dtype=z_src.latents.dtype)
     del found, pos  # N-row lookups, freed before the target rows are gathered
     out[rows] = z_tgt.latents[tgt_pos]
-    return _keyed(StructuredLatent(resolution=resolution, coords=merged.coords, latents=_freeze(out)), out_lin)
+    return StructuredLatent(resolution=resolution, coords=merged.coords, latents=out, key=out_lin)
 
 
 def _missing(lin: np.ndarray, found: np.ndarray, resolution: int, side: str) -> MissingLatent:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyBounds, NonFiniteGeometry
-from .grid import SparseStructure, _freeze, _sorted_unique, check_resolution, membership, sparse_from_linear
+from .grid import SparseStructure, _sorted_unique, check_resolution, membership, sparse_from_linear
 
 BOUNDS_MARGIN = 1e-6
 
@@ -45,6 +45,10 @@ BOUNDS_MARGIN = 1e-6
 class TriMesh:
     vertices: np.ndarray = field(repr=False)   # (V, 3) float64
     triangles: np.ndarray = field(repr=False)  # (T, 3) int64 indices into vertices
+
+    def __post_init__(self):
+        self.vertices.setflags(write=False)
+        self.triangles.setflags(write=False)
 
     @property
     def num_vertices(self) -> int:
@@ -67,7 +71,7 @@ def make_mesh(vertices, triangles) -> TriMesh:
     t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     if t.size and (t.min() < 0 or t.max() >= len(v)):
         raise ValueError("triangle index out of range")
-    return TriMesh(vertices=_freeze(v), triangles=_freeze(t))
+    return TriMesh(vertices=v, triangles=t)
 
 
 def default_bounds(mesh: TriMesh):
@@ -237,7 +241,7 @@ def _exposed_faces(s: SparseStructure) -> np.ndarray:
     of each occupied cell empty or outside the grid."""
     r = s.resolution
     coords = s.coords.astype(np.int64)
-    lin = s.linear()
+    lin = s.key
     exposed = np.empty((len(lin), len(_FACE_DIRS)), dtype=bool)
     for f, step in enumerate(_FACE_DIRS):
         n = coords + step
@@ -245,11 +249,6 @@ def _exposed_faces(s: SparseStructure) -> np.ndarray:
         occupied, _ = membership(lin, lin + int(step[0] * r * r + step[1] * r + step[2]))
         exposed[:, f] = ~(inside & occupied)
     return exposed
-
-
-def count_exposed_faces(s: SparseStructure) -> int:
-    """Number of occupied-cell faces whose face-adjacent neighbor is empty."""
-    return int(_exposed_faces(s).sum())
 
 
 def extract_surface_mesh(s: SparseStructure) -> TriMesh:
@@ -269,7 +268,7 @@ def extract_surface_mesh(s: SparseStructure) -> TriMesh:
 
     vertices = corners[np.sort(first)].astype(np.float64).reshape(-1, 3)
     triangles = np.stack([quad[:, [0, 1, 2]], quad[:, [0, 2, 3]]], axis=1).reshape(-1, 3)
-    return TriMesh(vertices=_freeze(vertices), triangles=_freeze(triangles))
+    return TriMesh(vertices=vertices, triangles=triangles)
 
 
 def save_obj(mesh: TriMesh, path) -> None:

@@ -44,7 +44,7 @@ def chamfer_voxels(a: SparseStructure, b: SparseStructure) -> float:
     if a.voxel_sum == 0 or b.voxel_sum == 0:
         raise EmptySet("chamfer distance needs two non-empty point sets")
     if a.resolution == b.resolution:
-        la, lb = a.linear(), b.linear()
+        la, lb = a.key, b.key
     else:
         # x-major order is the same in any radix above every coordinate
         r = max(a.resolution, b.resolution)
@@ -66,7 +66,7 @@ def _unshared_nn_sq(p: np.ndarray, q: np.ndarray, lp: np.ndarray, lq: np.ndarray
 def occupancy_iou(a: SparseStructure, b: SparseStructure) -> float:
     """Intersection over union of occupied cells; two empty sets give 1."""
     require_same_resolution(a, b)
-    inter = _shared(a.linear(), b.linear())
+    inter = _shared(a.key, b.key)
     union = a.voxel_sum + b.voxel_sum - inter
     return 1.0 if union == 0 else inter / union
 
@@ -96,7 +96,7 @@ def region_consistency(
     """Measure what a correct merge guarantees: outside the mask the merge
     equals the source, inside it the merge matches the target."""
     require_same_resolution(s_src, s_tgt, merged, mask)
-    mask_lin, merged_lin, src_lin = mask.linear(), merged.linear(), s_src.linear()
+    mask_lin, merged_lin, src_lin = mask.key, merged.key, s_src.key
 
     # IoU of the merged and source cells that lie outside the mask
     merged_out = ~membership(mask_lin, merged_lin)[0]
@@ -109,7 +109,7 @@ def region_consistency(
         inside_fraction = 1.0
     else:
         in_merged, _ = membership(merged_lin, mask_lin)
-        in_tgt, _ = membership(s_tgt.linear(), mask_lin)
+        in_tgt, _ = membership(s_tgt.key, mask_lin)
         inside_fraction = float(np.mean(in_merged == in_tgt))
 
     return ConsistencyReport(

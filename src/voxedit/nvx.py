@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadMagic, ChecksumMismatch, MalformedNvx, TruncatedFile, UnsupportedVersion
-from .grid import COORD_DTYPE, LATENT_DTYPE, SparseStructure, StructuredLatent, _freeze, _keyed, linear_index
+from .grid import COORD_DTYPE, LATENT_DTYPE, SparseStructure, StructuredLatent, linear_index
 
 MAGIC = b"NVX1"
 KIND_OCCUPANCY = 0
@@ -89,7 +89,7 @@ def decode_nvx(data: bytes):
         raise ChecksumMismatch("payload does not match stored CRC32")
 
     coords = np.frombuffer(data, dtype="<u2", count=count * 3, offset=offset)
-    coords = _freeze(coords.reshape(count, 3).astype(COORD_DTYPE, copy=False))
+    coords = coords.reshape(count, 3).astype(COORD_DTYPE, copy=False)
     if count and int(coords.max()) >= resolution:
         raise MalformedNvx("coordinate out of bounds for stored resolution")
     lin = linear_index(coords, resolution)
@@ -99,15 +99,15 @@ def decode_nvx(data: bytes):
         raise MalformedNvx(f"resolution {resolution} below minimum")
 
     if kind == KIND_OCCUPANCY:
-        return _keyed(SparseStructure(resolution=resolution, coords=coords), lin)
+        return SparseStructure(resolution=resolution, coords=coords, key=lin)
 
     if channels < 1:
         raise MalformedNvx("latent channel count must be >= 1")
     lat = np.frombuffer(data, dtype="<f4", count=count * channels, offset=offset + count * 3 * 2)
-    lat = _freeze(lat.reshape(count, channels).astype(LATENT_DTYPE, copy=False))
+    lat = lat.reshape(count, channels).astype(LATENT_DTYPE, copy=False)
     if not np.isfinite(lat).all():
         raise MalformedNvx("non-finite latent values")
-    return _keyed(StructuredLatent(resolution=resolution, coords=coords, latents=lat), lin)
+    return StructuredLatent(resolution=resolution, coords=coords, latents=lat, key=lin)
 
 
 def write_nvx(payload, path) -> None:

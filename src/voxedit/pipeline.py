@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChannelMismatch, EmptySlot, InstructionError, MissingSlot, SlotSyntaxError, UnknownAction
-from .grid import SparseStructure, StructuredLatent, _freeze, _keyed
+from .grid import SparseStructure, StructuredLatent
 from .merge import DEFAULT_CONNECTIVITY, Threshold, slat_merge, voxel_merge
 from .nvx import write_nvx
 
@@ -335,8 +335,7 @@ class MockGeneratorBackend(GeneratorBackend):
         lat_rng = _rng(derive_seed("latents", image_ref, seed, self.channels))
         latents = _standard_normal_f32(lat_rng, structure.voxel_sum, self.channels)
         # from_dense coords are already canonical: no need to sort them again, and they share one key
-        latent = StructuredLatent(structure.resolution, structure.coords, _freeze(latents))
-        return structure, _keyed(latent, structure.linear())
+        return structure, StructuredLatent(structure.resolution, structure.coords, latents, key=structure.key)
 
 
 class MockFilterBackend(FilterBackend):
@@ -486,6 +485,10 @@ def run_pipeline(
         raise ValueError(f"manifest name must be a bare filename, got {manifest_name!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / manifest_name

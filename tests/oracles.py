@@ -10,9 +10,11 @@ layout, the NVX codec that staged whole files in copied buffers before
 the codec streamed its parts, the linear-index formula that built three
 int64 temporaries, the Chamfer that queried every voxel on balanced
 KD-trees, the ``np.unique`` canonicalization that ``make_sparse`` ran
-before it deduplicated by sort and compare, and the Slat-Merge that
+before it deduplicated by sort and compare, the Slat-Merge that
 gathered each side through a boolean row mask before it built its output
-in one gather.
+in one gather, the key-to-coords decode that stacked int64 divmod
+results, and the dense grid and per-component split that the library no
+longer provides.
 """
 from __future__ import annotations
 
@@ -23,6 +25,22 @@ from collections import deque
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
+
+
+def dense(s) -> np.ndarray:
+    """Dense boolean occupancy grid ``(R, R, R)`` of a sparse structure."""
+    grid = np.zeros((s.resolution,) * 3, dtype=bool)
+    grid[s.coords[:, 0], s.coords[:, 1], s.coords[:, 2]] = True
+    return grid
+
+
+def split_components(cs) -> tuple:
+    """One ``(N_j, 3)`` array per component of a ``ComponentSet``, in
+    canonical order, each in linear order."""
+    if not cs.sizes:
+        return ()
+    grouped = cs.coords[np.argsort(cs.rank, kind="stable")]
+    return tuple(np.split(grouped, np.cumsum(cs.sizes)[:-1]))
 
 
 def dense_xor(grid_a: np.ndarray, grid_b: np.ndarray) -> np.ndarray:
@@ -126,6 +144,16 @@ def linear_index_formula(coords, resolution: int) -> np.ndarray:
     c = np.asarray(coords, dtype=np.int64)
     r = int(resolution)
     return c[:, 0] * r * r + c[:, 1] * r + c[:, 2]
+
+
+def coords_from_linear_stack(lin, resolution: int) -> np.ndarray:
+    """Uint16 ``(N, 3)`` coords of int64 linear keys, through four int64
+    divmod results and an int64 stack."""
+    lin = np.asarray(lin, dtype=np.int64)
+    r = int(resolution)
+    x, rem = np.divmod(lin, r * r)
+    y, z = np.divmod(rem, r)
+    return np.stack([x, y, z], axis=1).astype(np.uint16)
 
 
 def make_sparse_unique(coords, resolution: int) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ from voxedit import (
 from voxedit.errors import NvxError
 from voxedit.nvx import decode_nvx, encode_nvx
 
-from oracles import bfs_components, canonical_component_order, random_structure_coords
+from oracles import bfs_components, canonical_component_order, dense, random_structure_coords, split_components
 
 
 def criterion(num, title):
@@ -80,13 +80,13 @@ def merge_suite():
     for i in range(1000):
         src = random_structure(rng, 16, rng.uniform(0.01, 0.5))
         tgt = random_structure(rng, 16, rng.uniform(0.01, 0.5))
-        src_d, tgt_d = src.to_dense(), tgt.to_dense()
+        src_d, tgt_d = dense(src), dense(tgt)
         policies = (Threshold(int(rng.integers(0, 120))), TopK(int(rng.integers(0, 6))))
         for connectivity in (6, 18, 26):
             for policy in policies:
                 merged, mask = voxel_merge(src, tgt, connectivity, policy)
                 expected = np.where(dense_mask(mask, 16), tgt_d, src_d)
-                if not np.array_equal(merged.to_dense(), expected):
+                if not np.array_equal(dense(merged), expected):
                     mismatches += 1
                 reports.append(region_consistency(src, tgt, merged, mask))
     elapsed = time.perf_counter() - t0
@@ -118,12 +118,12 @@ def test_criterion_03_connected_components(merge_suite):
     for d in diffs:
         for connectivity in (6, 18, 26):
             cs = label_components(d, connectivity)
-            got = [frozenset(map(tuple, c.tolist())) for c in cs.components]
+            got = [frozenset(map(tuple, c.tolist())) for c in split_components(cs)]
             want = canonical_component_order(bfs_components(d.coords, 16, connectivity), 16)
             assert got == want
 
     def run(d):
-        return [c.tolist() for c in label_components(d, 26).components]
+        return [c.tolist() for c in split_components(label_components(d, 26))]
 
     serial = [run(d) for d in diffs[:100]]
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -214,7 +214,7 @@ def test_criterion_07_slat_provenance():
         z_src = make_latent(src.coords, rng.standard_normal((src.voxel_sum, 8)).astype(np.float32), 8)
         z_tgt = make_latent(tgt.coords, rng.standard_normal((tgt.voxel_sum, 8)).astype(np.float32), 8)
         cs = label_components(diff_xor(src, tgt), 26)
-        mask = select_components(cs, TopK(int(rng.integers(0, len(cs.components) + 1))))
+        mask = select_components(cs, TopK(int(rng.integers(0, len(cs.sizes) + 1))))
         merged = apply_flip(src, mask)
         out = slat_merge(z_src, z_tgt, mask, merged)
         assert np.array_equal(out.coords, merged.coords)

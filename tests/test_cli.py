@@ -315,7 +315,8 @@ def test_pipeline_run_rejects_bad_settings_before_writing(tmp_path, capsys):
     assert code == 0
     manifest = out_dir / "manifest.jsonl"
     before = manifest.read_bytes()
-    for flags in (("--workers", "0"), ("--workers", "-2"), ("--resolution", "4"), ("--channels", "0")):
+    for flags in (("--workers", "0"), ("--workers", "-2"), ("--resolution", "4"), ("--channels", "0"),
+                  ("--max-attempts", "0"), ("--samples", "-1")):
         code, stdout, stderr = run_cli(capsys, *base, *flags)
         assert code == 1, flags
         assert stdout == "" and stderr.startswith("error:"), flags
@@ -337,6 +338,12 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch([])
     assert exc.value.code == 2
+    # slat-merge takes exactly one of --mask and --mask-all
+    slat = ["slat-merge", "--src-slat", "a", "--tgt-slat", "b", "--merged", "c", "--out", "d"]
+    for extra in ([], ["--mask", "m.json", "--mask-all"]):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(slat + extra)
+        assert exc.value.code == 2, extra
 
 
 def test_merge_policy_flags_mutually_exclusive(capsys, tmp_path):

@@ -11,7 +11,6 @@ from voxedit import (
     euler_sample,
     flowedit_run,
     linear_schedule,
-    make_analytic_oracle,
 )
 
 from oracles import snis_posterior_mean
@@ -136,16 +135,6 @@ def test_gaussian_posterior_mean_matches_monte_carlo():
         analytic = float(oracle.posterior_mean(np.array([z_star]), t, "c")[0])
         estimate, se = snis_posterior_mean(z_star, t, mu, var, n_draws=100_000, seed=seed)
         assert abs(estimate - analytic) < 3 * se
-
-
-def test_factory_kinds():
-    assert isinstance(make_analytic_oracle("delta", anchors={"a": [0.0]}), DeltaVelocityOracle)
-    assert isinstance(
-        make_analytic_oracle("gaussian", means={"a": [0.0]}, variances={"a": 1.0}),
-        AffineGaussianVelocityOracle,
-    )
-    with pytest.raises(ValueError):
-        make_analytic_oracle("spline")
 
 
 # --- euler_sample -----------------------------------------------------------------

@@ -4,9 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxedit import (
+    FlipMask,
     OutOfBounds,
     SparseStructure,
+    StructuredLatent,
     TopK,
+    TriMesh,
     apply_flip,
     diff_xor,
     label_components,
@@ -19,7 +22,7 @@ from voxedit.grid import coords_from_linear, linear_index, sparse_from_linear
 from voxedit.merge import mask_all
 from voxedit.nvx import decode_nvx, encode_nvx
 
-from oracles import linear_index_formula, make_sparse_unique, random_structure_coords
+from oracles import coords_from_linear_stack, dense, linear_index_formula, make_sparse_unique, random_structure_coords
 
 
 def test_empty_structure():
@@ -83,16 +86,30 @@ def test_linear_index_equals_the_int64_formula():
             assert np.array_equal(lin, expected)
 
 
+def test_coords_from_linear_equals_the_stacked_decode():
+    rng = np.random.default_rng(2)
+    for r in (64, 128, 65535):
+        coords = np.concatenate([rng.integers(0, r, size=(300, 3)), [[r - 1] * 3, [0, 0, 0]]])
+        lin = linear_index_formula(coords, r)
+        got = coords_from_linear(lin, r)
+        assert got.dtype == np.uint16 and got.shape == (len(lin), 3)
+        assert np.array_equal(got, coords_from_linear_stack(lin, r))
+        assert np.array_equal(got, coords.astype(np.uint16))
+    empty = coords_from_linear(np.empty(0, dtype=np.int64), 16)
+    assert empty.dtype == np.uint16 and empty.shape == (0, 3)
+    assert np.array_equal(empty, coords_from_linear_stack(np.empty(0, dtype=np.int64), 16))
+
+
 def test_dense_round_trip_trivial():
     s = make_sparse([], 4)
-    grid = s.to_dense()
+    grid = dense(s)
     assert grid.shape == (4, 4, 4)
     assert not grid.any()
     assert SparseStructure.from_dense(grid) == s
 
     full = make_sparse([(x, y, z) for x in range(2) for y in range(2) for z in range(2)], 2)
     assert full.voxel_sum == 8
-    assert SparseStructure.from_dense(full.to_dense()) == full
+    assert SparseStructure.from_dense(dense(full)) == full
 
 
 def test_dense_round_trip_random():
@@ -101,7 +118,7 @@ def test_dense_round_trip_random():
         n = int(rng.integers(0, 120))
         coords = rng.integers(0, 8, size=(n, 3))
         s = make_sparse(coords, 8)
-        assert SparseStructure.from_dense(s.to_dense()) == s
+        assert SparseStructure.from_dense(dense(s)) == s
 
 
 def test_from_dense_is_keyed_in_c_order_for_any_layout():
@@ -109,9 +126,9 @@ def test_from_dense_is_keyed_in_c_order_for_any_layout():
     grid = rng.integers(0, 3, size=(9, 9, 9)) == 0
     for g in (grid, np.asfortranarray(grid), grid.astype(np.int8) * 7):
         s = SparseStructure.from_dense(g)
-        assert "_linear" in s.__dict__  # keyed on construction
+        assert not s.key.flags.writeable and not s.coords.flags.writeable
         assert np.array_equal(s.coords, np.argwhere(grid).astype(np.uint16))
-        assert np.array_equal(s.linear(), linear_index(s.coords, 9)) and s.linear().dtype == np.int64
+        assert np.array_equal(s.key, linear_index(s.coords, 9)) and s.key.dtype == np.int64
 
 
 def test_from_dense_shape_check():
@@ -154,9 +171,9 @@ def test_make_sparse_equals_the_np_unique_oracle(case, kind):
     r, coords = case
     expected_coords, expected_lin = make_sparse_unique(coords, r)
     s = make_sparse(coords if kind is list else np.array(coords, dtype=kind).reshape(-1, 3), r)
-    assert s.coords.dtype == np.uint16 and s.linear().dtype == np.int64
+    assert s.coords.dtype == np.uint16 and s.key.dtype == np.int64
     assert np.array_equal(s.coords, expected_coords)
-    assert np.array_equal(s.linear(), expected_lin)
+    assert np.array_equal(s.key, expected_lin)
 
 
 def test_structures_immutable():
@@ -202,7 +219,7 @@ def _every_constructor(rng, resolution, density):
     merged = apply_flip(s, mask)
     return {
         "make_sparse": s,
-        "from_dense": SparseStructure.from_dense(s.to_dense()),
+        "from_dense": SparseStructure.from_dense(dense(s)),
         "sparse_from_linear": sparse_from_linear(linear_index(s.coords, resolution), resolution),
         "decode_nvx occupancy": decode_nvx(encode_nvx(s)),
         "decode_nvx latent": decode_nvx(encode_nvx(z_s)),
@@ -215,23 +232,48 @@ def _every_constructor(rng, resolution, density):
     }
 
 
+def _assert_keyed_and_frozen(x, name):
+    """``x.key`` is the exact int64 key of ``x.coords``, and every array is read-only."""
+    assert x.key.dtype == np.int64, name
+    assert np.array_equal(x.key, linear_index(x.coords, x.resolution)), name
+    arrays = [x.coords, x.key] + ([x.latents] if isinstance(x, StructuredLatent) else [])
+    for a in arrays:
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
 @pytest.mark.parametrize("resolution, density", [(8, 0.0), (8, 0.05), (13, 0.2), (32, 0.02)])
 def test_linear_key_is_cached_read_only_and_exact(resolution, density):
     rng = np.random.default_rng(resolution)
     for name, x in _every_constructor(rng, resolution, density).items():
-        lin = x.linear()
-        assert lin.dtype == np.int64, name
-        assert np.array_equal(lin, linear_index(x.coords, x.resolution)), name
-        assert not lin.flags.writeable, name
-        assert x.linear() is lin, name  # computed at most once
+        _assert_keyed_and_frozen(x, name)
+
+
+def test_direct_construction_keys_and_freezes_writable_arrays():
+    def coords():
+        return np.array([[0, 0, 1], [0, 2, 0], [3, 1, 2]], dtype=np.uint16)
+
+    built = {
+        "SparseStructure": SparseStructure(resolution=4, coords=coords()),
+        "StructuredLatent": StructuredLatent(4, coords(), np.ones((3, 2), dtype=np.float32)),
+        "FlipMask": FlipMask(resolution=4, coords=coords(), selected_sizes=(3,), component_sizes=(3,)),
+        "SparseStructure keyed": SparseStructure(4, coords(), key=np.array([1, 8, 54], dtype=np.int64)),
+    }
+    for name, x in built.items():
+        _assert_keyed_and_frozen(x, name)
+    mesh = TriMesh(vertices=np.zeros((3, 3)), triangles=np.array([[0, 1, 2]], dtype=np.int64))
+    for a in (mesh.vertices, mesh.triangles):
+        assert not a.flags.writeable
 
 
 def test_latent_never_equals_a_plain_structure():
     s = make_sparse([(0, 0, 0), (1, 2, 3)], 8)
     z = make_latent(s.coords, np.zeros((2, 1)), 8)
-    for occ in (s, mask_all(s), z.structure(), decode_nvx(encode_nvx(s))):
+    plain = SparseStructure(resolution=z.resolution, coords=z.coords)
+    for occ in (s, mask_all(s), plain, decode_nvx(encode_nvx(s))):
         # both orders: the subclass's reflected __eq__ runs first for occ == z
         assert not occ == z and not z == occ
         assert occ != z and z != occ
         assert occ == s
-    assert z == decode_nvx(encode_nvx(z)) and z.structure() == s
+    assert z == decode_nvx(encode_nvx(z)) and plain == s

@@ -30,11 +30,13 @@ from oracles import (
     LatentReject,
     bfs_components,
     canonical_component_order,
+    dense,
     label_components_sorted,
     merge_oracle,
     random_structure_coords,
     select_components_concat,
     slat_merge_masked,
+    split_components,
 )
 
 
@@ -69,8 +71,8 @@ def test_diff_matches_dense_oracle():
         a = random_structure(rng, 8)
         b = random_structure(rng, 8)
         d = diff_xor(a, b)
-        expected = a.to_dense() ^ b.to_dense()
-        assert np.array_equal(d.to_dense(), expected)
+        expected = dense(a) ^ dense(b)
+        assert np.array_equal(dense(d), expected)
 
 
 # --- label_components -------------------------------------------------------
@@ -78,15 +80,15 @@ def test_diff_matches_dense_oracle():
 
 def test_corner_adjacency_only_in_26():
     d = diff_xor(make_sparse([], 4), make_sparse([(0, 0, 0), (1, 1, 1)], 4))
-    assert len(label_components(d, 6).components) == 2
-    assert len(label_components(d, 18).components) == 2
-    assert len(label_components(d, 26).components) == 1
+    assert len(label_components(d, 6).sizes) == 2
+    assert len(label_components(d, 18).sizes) == 2
+    assert len(label_components(d, 26).sizes) == 1
 
 
 def test_edge_adjacency_enters_at_18():
     d = diff_xor(make_sparse([], 4), make_sparse([(0, 0, 0), (1, 1, 0)], 4))
-    assert len(label_components(d, 6).components) == 2
-    assert len(label_components(d, 18).components) == 1
+    assert len(label_components(d, 6).sizes) == 2
+    assert len(label_components(d, 18).sizes) == 1
 
 
 def test_invalid_connectivity():
@@ -103,11 +105,11 @@ def test_labeling_matches_bfs_oracle():
         d = diff_xor(make_sparse([], 16), s)
         for conn in (6, 18, 26):
             cs = label_components(d, conn)
-            got = [frozenset(map(tuple, c.tolist())) for c in cs.components]
+            got = [frozenset(map(tuple, c.tolist())) for c in split_components(cs)]
             expected = canonical_component_order(bfs_components(d.coords, 16, conn), 16)
             assert got == expected
             # within-component voxel order is canonical
-            for c in cs.components:
+            for c in split_components(cs):
                 lin = c[:, 0].astype(np.int64) * 256 + c[:, 1] * 16 + c[:, 2]
                 assert (np.diff(lin) > 0).all()
 
@@ -118,8 +120,9 @@ def test_component_order_size_then_min_linear_index():
     d = diff_xor(make_sparse([], 8), s)
     cs = label_components(d, 6)
     assert cs.sizes == [2, 2, 1]
-    assert cs.components[0][0].tolist() == [0, 0, 0]
-    assert cs.components[1][0].tolist() == [5, 5, 5]
+    components = split_components(cs)
+    assert components[0][0].tolist() == [0, 0, 0]
+    assert components[1][0].tolist() == [5, 5, 5]
 
 
 def test_label_cap_bounds_the_dense_box(monkeypatch):
@@ -156,7 +159,7 @@ def test_flat_layout_matches_sorted_reference():
             cs = label_components(d, connectivity)
             want = label_components_sorted(d.coords, 16, connectivity)
             assert cs.sizes == [len(c) for c in want]
-            assert [(c.dtype, c.shape, c.tobytes()) for c in cs.components] == [
+            assert [(c.dtype, c.shape, c.tobytes()) for c in split_components(cs)] == [
                 (c.dtype, c.shape, c.tobytes()) for c in want]
             for policy in (TopK(0), TopK(1), TopK(3), TopK(len(want) + 5),
                            Threshold(0), Threshold(1), Threshold(2), Threshold(100)):
@@ -272,7 +275,7 @@ def test_flip_is_involution():
         a = random_structure(rng, 8)
         b = random_structure(rng, 8)
         cs = label_components(diff_xor(a, b), 26)
-        k = int(rng.integers(0, len(cs.components) + 1))
+        k = int(rng.integers(0, len(cs.sizes) + 1))
         mask = select_components(cs, TopK(k))
         assert apply_flip(apply_flip(a, mask), mask) == a
 
@@ -283,12 +286,12 @@ def test_flip_matches_per_voxel_oracle():
         a = random_structure(rng, 8)
         b = random_structure(rng, 8)
         cs = label_components(diff_xor(a, b), 26)
-        k = int(rng.integers(0, len(cs.components) + 1))
+        k = int(rng.integers(0, len(cs.sizes) + 1))
         mask = select_components(cs, TopK(k))
         merged = apply_flip(a, mask)
         mask_grid = mask_dense(mask, 8)
-        expected = merge_oracle(a.to_dense(), b.to_dense(), mask_grid)
-        assert np.array_equal(merged.to_dense(), expected)
+        expected = merge_oracle(dense(a), dense(b), mask_grid)
+        assert np.array_equal(dense(merged), expected)
 
 
 def mask_dense(mask, resolution):
@@ -321,7 +324,7 @@ def test_merge_planted_blob_with_specks():
     # blob region transferred, specks untouched
     blob_set = set(blob)
     assert set(map(tuple, mask.coords.tolist())) == blob_set
-    merged_dense, src_dense, tgt_dense = merged.to_dense(), src.to_dense(), tgt.to_dense()
+    merged_dense, src_dense, tgt_dense = dense(merged), dense(src), dense(tgt)
     for speck in specks:
         assert merged_dense[speck] == src_dense[speck]
     for c in blob:
@@ -375,7 +378,7 @@ def test_slat_merge_provenance_oracle():
         z_a = random_latent_for(a, rng)
         z_b = random_latent_for(b, rng)
         cs = label_components(diff_xor(a, b), 26)
-        k = int(rng.integers(0, len(cs.components) + 1))
+        k = int(rng.integers(0, len(cs.sizes) + 1))
         mask = select_components(cs, TopK(k))
         merged = apply_flip(a, mask)
         out = slat_merge(z_a, z_b, mask, merged)
@@ -480,13 +483,11 @@ def test_slat_merge_equals_the_masked_gather_oracle(case):
 def test_slat_merge_peak_memory_is_the_output_plus_row_indices():
     rng = np.random.default_rng(38)
     src = make_sparse(random_structure_coords(rng, 64, 0.19), 64)
-    grid = src.to_dense()
+    grid = dense(src)
     grid[10:30, 10:30, 10:30] = ~grid[10:30, 10:30, 10:30]
     tgt = SparseStructure.from_dense(grid)
     merged, mask = voxel_merge(src, tgt, policy=TopK(1))
     z_src, z_tgt = random_latent_for(src, rng), random_latent_for(tgt, rng)
-    for x in (z_src, z_tgt, mask, merged):
-        x.linear()  # keys are built and cached outside the traced call
     n = merged.voxel_sum
     assert 45_000 < n < 55_000 and mask.voxel_sum > 1000
     tracemalloc.start()
@@ -508,7 +509,7 @@ def test_labeling_deterministic_under_thread_pool():
         diffs.append(diff_xor(make_sparse([], 16), s))
 
     def run(d):
-        return [c.tolist() for c in label_components(d, 26).components]
+        return [c.tolist() for c in split_components(label_components(d, 26))]
 
     serial = [run(d) for d in diffs]
     with ThreadPoolExecutor(max_workers=8) as pool:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from voxedit import extract_surface_mesh, load_obj, make_mesh, make_sparse, save_obj, voxelize_mesh
 from voxedit import mesh as mesh_module
 from voxedit.errors import EmptyBounds, NonFiniteGeometry
-from voxedit.mesh import count_exposed_faces
 
 from oracles import (
+    dense,
     random_structure_coords,
     save_obj_loop,
     surface_mesh_loop,
@@ -303,7 +303,7 @@ def test_surface_two_adjacent_voxels():
 
 def dense_exposed_face_count(s):
     """Independent per-face count on the padded dense grid."""
-    grid = np.pad(s.to_dense(), 1)
+    grid = np.pad(dense(s), 1)
     n = 0
     for axis in range(3):
         for sign in (1, -1):
@@ -318,7 +318,6 @@ def test_surface_triangle_count_matches_face_count():
         s = make_sparse(random_structure_coords(rng, 8, rng.uniform(0.02, 0.4)), 8)
         mesh = extract_surface_mesh(s)
         assert mesh.num_triangles == 2 * dense_exposed_face_count(s)
-        assert count_exposed_faces(s) == dense_exposed_face_count(s)
 
 
 def test_surface_is_closed_and_consistently_wound():
@@ -364,7 +363,7 @@ def test_surface_equals_loop_reference():
         assert mesh.vertices.dtype == verts.dtype and mesh.triangles.dtype == tris.dtype
         assert np.array_equal(mesh.vertices, verts)
         assert np.array_equal(mesh.triangles, tris)
-        assert count_exposed_faces(s) == len(tris) // 2
+        assert mesh.num_triangles == 2 * dense_exposed_face_count(s)
 
 
 # --- OBJ io --------------------------------------------------------------

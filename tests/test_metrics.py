@@ -17,7 +17,7 @@ from voxedit import (
 )
 from voxedit.metrics import voxel_centers
 
-from oracles import chamfer_kdtree, chamfer_quadratic, chamfer_voxels_kdtree, random_structure_coords
+from oracles import chamfer_kdtree, chamfer_quadratic, chamfer_voxels_kdtree, dense, random_structure_coords
 
 
 def random_structure(rng, resolution=8, density=None):
@@ -110,7 +110,7 @@ def voxel_pairs(draw):
     if kind == "identical":
         return a, make_sparse(a.coords, ra)
     if kind == "disjoint":
-        pool = np.setdiff1d(np.arange(ra**3), a.linear())  # a covers at most 40% of the grid
+        pool = np.setdiff1d(np.arange(ra**3), a.key)  # a covers at most 40% of the grid
         pick = rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False)
         return a, make_sparse(np.stack(np.unravel_index(pick, (ra,) * 3), axis=1), ra)
     b = random_structure_coords(rng, rb, rng.uniform(0.002, 0.4))
@@ -201,7 +201,7 @@ def test_extra_voxel_outside_mask_detected():
     merged, mask = voxel_merge(src, tgt, policy=Threshold(0))
     # corrupt: toggle one voxel outside the mask
     mask_set = set(map(tuple, mask.coords.tolist()))
-    grid = merged.to_dense()
+    grid = dense(merged)
     for coord in np.ndindex(8, 8, 8):
         if coord not in mask_set:
             grid[coord] = not grid[coord]
@@ -232,7 +232,7 @@ def test_planted_fault_flags_exactly_the_corrupted_side():
         src = random_structure(rng, density=0.15)
         tgt = random_structure(rng, density=0.15)
         merged, mask = voxel_merge(src, tgt, policy=Threshold(2))
-        grid = merged.to_dense()
+        grid = dense(merged)
         mask_set = set(map(tuple, mask.coords.tolist()))
         inside = rng.random() < 0.5 and mask.voxel_sum > 0
         pool = [c for c in map(tuple, np.ndindex(8, 8, 8)) if (c in mask_set) == inside]
@@ -254,7 +254,7 @@ def test_iou_and_consistency_equal_dense_counts_on_arbitrary_inputs():
     for _ in range(100):
         src, tgt, merged, mask_s = (random_structure(rng) for _ in range(4))
         mask = voxel_merge(mask_s, make_sparse([], 8), policy=Threshold(0))[1]
-        a, t, m, k = (x.to_dense() for x in (src, tgt, merged, mask))
+        a, t, m, k = (dense(x) for x in (src, tgt, merged, mask))
         union = np.count_nonzero(a | m)
         assert occupancy_iou(src, merged) == (np.count_nonzero(a & m) / union if union else 1.0)
         report = region_consistency(src, tgt, merged, mask)

@@ -177,11 +177,11 @@ def test_decoded_views_equal_the_copying_decoder(payload, mutable_input):
     assert type(back) is (StructuredLatent if kind == 1 else SparseStructure)
     assert back == payload and back.resolution == r
     assert back.coords.dtype == np.uint16 and back.coords.tobytes() == coords.tobytes()
-    arrays = [back.coords, back.linear()]
+    arrays = [back.coords, back.key]
     if kind == 1:
         assert back.latents.dtype == np.float32 and back.latents.tobytes() == latents.tobytes()
         arrays.append(back.latents)
-    assert np.array_equal(back.linear(), linear_index(coords, r))
+    assert np.array_equal(back.key, linear_index(coords, r))
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
