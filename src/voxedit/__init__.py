@@ -12,7 +12,6 @@ from .errors import (
     EmptyBounds,
     EmptySet,
     EmptySlot,
-    GridTooLarge,
     InstructionError,
     MalformedNvx,
     MissingLatent,

@@ -31,10 +31,6 @@ class MissingLatent(VoxeditError):
         super().__init__(f"no {side} latent for voxel {self.coord}")
 
 
-class GridTooLarge(VoxeditError):
-    """A dense working grid would exceed its documented cell cap."""
-
-
 class EmptyBounds(VoxeditError):
     """A voxelization bounding box has non-positive extent."""
 

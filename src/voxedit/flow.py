@@ -83,6 +83,15 @@ def _check_time(t: float) -> float:
     return float(t)
 
 
+def _check_state(z, dim: int) -> np.ndarray:
+    """``z`` as float64 states of length ``dim``; a one-value oracle
+    broadcasts over states of any length."""
+    z = np.asarray(z, dtype=np.float64)
+    if dim != 1 and z.shape[-1:] != (dim,):
+        raise DimensionMismatch(f"state of shape {z.shape} for an oracle of dimension {dim}")
+    return z
+
+
 class DeltaVelocityOracle(VelocityOracle):
     """Exact marginal velocity of the straight path to a single anchor:
     v(z, t, c) = (z - x_c) / t."""
@@ -98,7 +107,7 @@ class DeltaVelocityOracle(VelocityOracle):
 
     def evaluate(self, z, t, condition, conditioned=True):
         t = _check_time(t)
-        return (np.asarray(z, dtype=np.float64) - self.anchors[condition]) / t
+        return (_check_state(z, self.dim) - self.anchors[condition]) / t
 
 
 class AffineGaussianVelocityOracle(VelocityOracle):
@@ -131,7 +140,8 @@ class AffineGaussianVelocityOracle(VelocityOracle):
 
     def evaluate(self, z, t, condition, conditioned=True):
         t = _check_time(t)
-        return (np.asarray(z, dtype=np.float64) - self.posterior_mean(z, t, condition)) / t
+        z = _check_state(z, self.dim)
+        return (z - self.posterior_mean(z, t, condition)) / t
 
 
 def _noise_stream(seed: int, step: int, draw: int) -> np.random.Generator:

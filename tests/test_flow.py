@@ -119,6 +119,26 @@ def test_delta_rejects_nonpositive_time():
             oracle.evaluate(np.array([1.0]), t, "c")
 
 
+def test_delta_rejects_a_state_of_the_wrong_dimension():
+    oracle = DeltaVelocityOracle({"c": np.zeros(4)})
+    for z in (np.ones(1), np.ones(3), np.ones((2, 5))):
+        with pytest.raises(DimensionMismatch):
+            oracle.evaluate(z, 0.5, "c")
+    assert oracle.evaluate(np.ones((2, 4)), 0.5, "c").shape == (2, 4)
+    # a one-value anchor broadcasts over states of any length
+    assert DeltaVelocityOracle({"c": [1.0]}).evaluate(np.zeros(3), 0.5, "c").tolist() == [-2.0] * 3
+
+
+def test_gaussian_rejects_a_state_of_the_wrong_dimension():
+    oracle = AffineGaussianVelocityOracle({"c": np.zeros(3)}, {"c": 1.0})
+    for z in (np.ones(1), np.ones(4)):
+        with pytest.raises(DimensionMismatch):
+            oracle.evaluate(z, 0.5, "c")
+    assert oracle.evaluate(np.ones(3), 0.5, "c").shape == (3,)
+    one = AffineGaussianVelocityOracle({"c": [0.0]}, {"c": 1.0})
+    assert one.evaluate(np.ones(5), 1.0, "c").tolist() == [1.0] * 5
+
+
 def test_gaussian_velocity_at_noise_end():
     # at t=1 the posterior mean is the prior mean; with mu=0 that gives v=z
     oracle = AffineGaussianVelocityOracle({"c": np.array([0.0])}, {"c": 2.0})

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from voxedit import (
     ChannelMismatch,
     FlipMask,
-    GridTooLarge,
     MissingLatent,
     ResolutionMismatch,
     SparseStructure,
@@ -125,11 +124,72 @@ def test_component_order_size_then_min_linear_index():
     assert components[1][0].tolist() == [5, 5, 5]
 
 
-def test_label_cap_bounds_the_dense_box(monkeypatch):
-    monkeypatch.setattr(merge, "_LABEL_MAX_CELLS", 8)
-    with pytest.raises(GridTooLarge):
-        label_components(make_sparse([(0, 0, 0), (15, 15, 15)], 16))
-    assert label_components(make_sparse([(7, 7, 7), (7, 7, 8)], 16)).sizes == [2]
+def test_label_memory_follows_the_voxel_count():
+    # two voxels at opposite corners of the largest grid an NVX header allows
+    r = 65535
+    d = make_sparse([(0, 0, 0), (r - 1, r - 1, r - 1)], r)
+    tracemalloc.start()
+    try:
+        cs = label_components(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cs.sizes == [1, 1]
+    assert cs.rank.tolist() == [0, 1]
+    assert peak < 1 << 20
+
+
+def reference_labels(d, connectivity):
+    """``(sizes, rank)`` from labelling the full dense grid."""
+    want = label_components_sorted(d.coords, d.resolution, connectivity)
+    position = {tuple(v): j for j, c in enumerate(want) for v in c.tolist()}
+    return [len(c) for c in want], [position[tuple(v)] for v in d.coords.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 13), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_labels_equal_the_dense_reference(resolution, density, seed):
+    coords = np.argwhere(np.random.default_rng(seed).random((resolution,) * 3) < density)
+    d = make_sparse(coords, resolution)
+    for connectivity in CONNECTIVITIES:
+        cs = label_components(d, connectivity)
+        assert (cs.sizes, cs.rank.tolist()) == reference_labels(d, connectivity)
+
+
+def row_boundary_pairs(r):
+    """Voxel pairs whose keys, or whose rows' ids, are next to each other
+    across a row boundary.  At R >= 3 no pair is adjacent."""
+    m, z = r - 1, r // 2
+    return [
+        [(0, 0, m), (0, 1, 0)],  # consecutive keys in two rows
+        [(0, 0, z), (0, m, z)],  # step (1, -1) from row (0, 0) has id R - 1, row (0, R - 1)
+        [(0, m, z), (1, 0, z)],  # step (0, 1) from row (0, R - 1) has id R, row (1, 0)
+        [(0, 1, 0), (1, 0, m)],  # slack below z = 0 ends in the row before (1, 1)
+        [(0, 0, m), (1, 1, 0)],  # slack above z = R - 1 starts in the row after (1, 0)
+    ]
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 7])
+def test_runs_do_not_join_across_row_boundaries(r):
+    for pair in row_boundary_pairs(r):
+        d = make_sparse(pair, r)
+        for connectivity in CONNECTIVITIES:
+            cs = label_components(d, connectivity)
+            assert (cs.sizes, cs.rank.tolist()) == reference_labels(d, connectivity), (pair, connectivity)
+            if r > 2:
+                assert cs.sizes == [1, 1], (pair, connectivity)
+    # at R = 2 the first pair differs by (0, 1, -1): an edge neighbour
+    d = make_sparse(row_boundary_pairs(2)[0], 2)
+    assert [label_components(d, c).sizes for c in CONNECTIVITIES] == [[1, 1], [2], [2]]
+
+
+def test_runs_at_both_ends_of_a_row_join_their_neighbours():
+    # an edge neighbour above z = 0 and a corner neighbour below z = R - 1
+    d = make_sparse([(0, 0, 0), (0, 1, 1), (3, 3, 6), (4, 4, 5)], 7)
+    assert [label_components(d, c).sizes for c in CONNECTIVITIES] == [[1, 1, 1, 1], [2, 1, 1], [2, 2]]
+    for connectivity in CONNECTIVITIES:
+        cs = label_components(d, connectivity)
+        assert (cs.sizes, cs.rank.tolist()) == reference_labels(d, connectivity)
 
 
 def test_label_memory_follows_the_diff_extent():
