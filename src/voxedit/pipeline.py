@@ -12,6 +12,7 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -202,12 +203,21 @@ class InstructionBackend(abc.ABC):
 
 
 class ImageEditorBackend(abc.ABC):
+    """Edits a source image.  ``run_sample`` calls it while its helper
+    thread runs the generator, even at ``workers=1``, so an implementation
+    must be thread-safe."""
+
     @abc.abstractmethod
     def edit(self, image_ref: str, instruction: EditInstruction, seed: int) -> str:
         ...
 
 
 class GeneratorBackend(abc.ABC):
+    """Generates a structure and its latents from an image.  ``run_sample``
+    generates the source on a helper thread while the target is generated
+    on the calling thread, so ``generate`` runs on two threads at once
+    even at ``workers=1`` and must be thread-safe."""
+
     @abc.abstractmethod
     def generate(self, image_ref: str, seed: int) -> tuple[SparseStructure, StructuredLatent]:
         ...
@@ -221,6 +231,10 @@ class FilterBackend(abc.ABC):
 
 @dataclass
 class BackendSuite:
+    """The four backends of a pipeline run.  Each sample calls them from two
+    threads, even at ``workers=1`` (see :func:`run_sample`), so they must
+    be thread-safe; the shipped mocks are stateless."""
+
     instruction: InstructionBackend
     image_editor: ImageEditorBackend
     generator: GeneratorBackend
@@ -380,7 +394,16 @@ def run_sample(
     max_attempts: int = 1,
 ) -> ManifestRecord:
     """Run the full editing chain for one sample, re-sampling on filter
-    rejection up to ``max_attempts`` times."""
+    rejection up to ``max_attempts`` times.
+
+    Stages that do not depend on each other run at the same time on a
+    helper thread that this call owns and joins before it returns or
+    raises: the source generation runs while this thread edits the image
+    and generates the target, and the two threads share the artifact
+    writes.  So the backends are called from two threads.  The record is
+    the one that running the stages in turn would give: a failure is
+    reported at the first stage that fails in that order.
+    """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     if merge_policy is None:
@@ -388,14 +411,38 @@ def run_sample(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for attempt in range(1, max_attempts + 1):
-        record = _run_attempt(sample, backends, out_dir, merge_policy, connectivity, attempt)
-        if record.status != "filtered":
-            break
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for attempt in range(1, max_attempts + 1):
+            record = _run_attempt(sample, backends, out_dir, merge_policy, connectivity, attempt, helper)
+            if record.status != "filtered":
+                break
     return record
 
 
-def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt) -> ManifestRecord:
+# record field and file suffix of each artifact, in the order the record lists them
+_ARTIFACTS = (
+    ("source_structure", "src"),
+    ("edited_structure", "tgt"),
+    ("merged_structure", "merged"),
+    ("source_slat", "src_slat"),
+    ("merged_slat", "merged_slat"),
+)
+# the helper thread writes these, about as many bytes as the other three
+_HELPER_WRITES = frozenset({"source_structure", "source_slat"})
+
+
+def _write_artifacts(out_dir: Path, jobs) -> dict:
+    """Write ``(field, path, payload)`` jobs in turn and stop at the first
+    failure; returns ``{field: exception}`` for it, or ``{}``."""
+    for name, path, payload in jobs:
+        try:
+            write_nvx(payload, out_dir / path)
+        except Exception as exc:  # noqa: BLE001 - the caller reports it in artifact order
+            return {name: exc}
+    return {}
+
+
+def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt, helper) -> ManifestRecord:
     record = ManifestRecord(
         id=sample.id,
         status="failed",
@@ -409,18 +456,24 @@ def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt) -> Ma
             sample.image_ref, derive_seed(sample.seed, attempt, "instruction"))
         record.instruction = instruction
 
+        source = helper.submit(backends.generator.generate, sample.image_ref,
+                               derive_seed(sample.seed, attempt, "generate_source"))
+        edited_ref = target_failure = None
+        try:
+            stage = "image_edit"
+            edited_ref = backends.image_editor.edit(
+                sample.image_ref, instruction, derive_seed(sample.seed, attempt, "image_edit"))
+            stage = "generate_target"
+            s_tgt, z_tgt = backends.generator.generate(
+                edited_ref, derive_seed(sample.seed, attempt, "generate_target"))
+        except Exception as exc:  # noqa: BLE001 - a source failure comes first in stage order
+            target_failure = stage, exc
         stage = "generate_source"
-        s_src, z_src = backends.generator.generate(
-            sample.image_ref, derive_seed(sample.seed, attempt, "generate_source"))
-
-        stage = "image_edit"
-        edited_ref = backends.image_editor.edit(
-            sample.image_ref, instruction, derive_seed(sample.seed, attempt, "image_edit"))
+        s_src, z_src = source.result()
         record.edited_image = edited_ref
-
-        stage = "generate_target"
-        s_tgt, z_tgt = backends.generator.generate(
-            edited_ref, derive_seed(sample.seed, attempt, "generate_target"))
+        if target_failure is not None:
+            stage, exc = target_failure
+            raise exc
 
         stage = "voxel_merge"
         merged, mask = voxel_merge(s_src, s_tgt, connectivity, policy)
@@ -429,15 +482,15 @@ def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt) -> Ma
         merged_slat = slat_merge(z_src, z_tgt, mask, merged)
 
         stage = "write_artifacts"
-        for name, suffix, payload in (
-            ("source_structure", "src", s_src),
-            ("edited_structure", "tgt", s_tgt),
-            ("merged_structure", "merged", merged),
-            ("source_slat", "src_slat", z_src),
-            ("merged_slat", "merged_slat", merged_slat),
-        ):
-            path = f"{sample.id}.{suffix}.nvx"
-            write_nvx(payload, out_dir / path)
+        jobs = [(name, f"{sample.id}.{suffix}.nvx", payload)
+                for (name, suffix), payload in zip(_ARTIFACTS, (s_src, s_tgt, merged, z_src, merged_slat))]
+        helper_failures = helper.submit(_write_artifacts, out_dir, [j for j in jobs if j[0] in _HELPER_WRITES])
+        failures = _write_artifacts(out_dir, [j for j in jobs if j[0] not in _HELPER_WRITES])
+        failures |= helper_failures.result()
+        # paths are recorded in artifact order, up to the first failed write
+        for name, path, _ in jobs:
+            if name in failures:
+                raise failures[name]
             setattr(record, name, path)
         record.voxel_sum_src = s_src.voxel_sum
         record.voxel_sum_tgt = s_tgt.voxel_sum
@@ -469,12 +522,14 @@ def run_pipeline(
     """Process ``n_samples`` independent samples and append their records,
     in sample order, to a fresh JSONL manifest.  Returns the manifest path.
 
-    ``workers`` threads run the per-sample stages; this thread appends
-    each record as soon as it and every lower-indexed record are done, so
-    the manifest bytes do not depend on ``workers``.  If a sample raises
-    past its own failure handling (a crash, or Ctrl-C), the manifest keeps
-    exactly the records before it: samples not yet started are cancelled,
-    the run waits for those in flight, and none of theirs is written.
+    ``workers`` threads run samples, each with its own helper thread (see
+    :func:`run_sample`), at most ``2 * workers`` samples ahead of the
+    manifest; this thread appends each record as soon as it and every
+    lower-indexed record are done, so the manifest bytes do not depend on
+    ``workers``.  If a sample raises past its own failure handling (a
+    crash, or Ctrl-C), the manifest keeps exactly the records before it:
+    samples not yet started are cancelled, the run waits for those in
+    flight, and none of theirs is written.
     """
     if backends is None:
         backends = mock_backend_suite()
@@ -494,17 +549,28 @@ def run_pipeline(
     manifest_path = out_dir / manifest_name
     manifest_path.write_text("", encoding="utf-8")
 
-    specs = []
-    for i in range(n_samples):
-        ref = image_refs[i] if image_refs else f"mock-image://{seed}/{i:06d}"
-        specs.append(SampleSpec(id=f"sample-{i:06d}", image_ref=ref, seed=derive_seed(seed, i)))
+    def specs():
+        for i in range(n_samples):
+            ref = image_refs[i] if image_refs else f"mock-image://{seed}/{i:06d}"
+            yield SampleSpec(id=f"sample-{i:06d}", image_ref=ref, seed=derive_seed(seed, i))
 
     def work(spec: SampleSpec) -> ManifestRecord:
         return run_sample(spec, backends, out_dir, merge_policy, connectivity, max_attempts)
 
-    # map yields in sample order; an exception cancels the samples not yet
-    # started, and leaving the block waits for those running
+    # Records are appended in sample order; at most 2 x workers samples are
+    # submitted and not yet written, so a long run builds no backlog of specs
+    # and futures.  An exception cancels the samples not yet started, and
+    # leaving the block waits for those running.
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for record in pool.map(work, specs):
-            append_record(manifest_path, record)
+        in_flight = deque()
+        try:
+            for spec in specs():
+                if len(in_flight) == 2 * workers:
+                    append_record(manifest_path, in_flight.popleft().result())
+                in_flight.append(pool.submit(work, spec))
+            while in_flight:
+                append_record(manifest_path, in_flight.popleft().result())
+        finally:
+            for future in in_flight:
+                future.cancel()
     return manifest_path

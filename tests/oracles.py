@@ -14,17 +14,25 @@ before it deduplicated by sort and compare, the Slat-Merge that
 gathered each side through a boolean row mask before it built its output
 in one gather, the key-to-coords decode that stacked int64 divmod
 results, and the dense grid and per-component split that the library no
-longer provides.
+longer provides.  The one exception is the pipeline sample that runs its
+stages in turn: it orchestrates the package's own merges, codec and
+records, and is the reference for the order in which the concurrent
+``run_sample`` reports them.
 """
 from __future__ import annotations
 
 import struct
 import zlib
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
+
+from voxedit.merge import DEFAULT_CONNECTIVITY, Threshold, slat_merge, voxel_merge
+from voxedit.nvx import write_nvx
+from voxedit.pipeline import ManifestRecord, SampleSpec, derive_seed, record_to_line
 
 
 def dense(s) -> np.ndarray:
@@ -535,3 +543,91 @@ def slat_merge_masked(resolution: int, src_coords, src_lat, tgt_coords, tgt_lat,
     if (~in_mask).any():
         out[~in_mask] = gather(src_coords, src_lat, out_lin[~in_mask], "source")
     return out
+
+
+def run_attempt_sequential(sample, backends, out_dir, policy, connectivity, attempt):
+    """One pipeline attempt with every stage run in turn on the calling
+    thread, as ``run_sample`` did before it overlapped its stages."""
+    record = ManifestRecord(
+        id=sample.id,
+        status="failed",
+        attempt=attempt,
+        source_image=sample.image_ref,
+        policy={**policy.describe(), "connectivity": connectivity},
+    )
+    stage = "instruction"
+    try:
+        instruction = backends.instruction.propose(
+            sample.image_ref, derive_seed(sample.seed, attempt, "instruction"))
+        record.instruction = instruction
+
+        stage = "generate_source"
+        s_src, z_src = backends.generator.generate(
+            sample.image_ref, derive_seed(sample.seed, attempt, "generate_source"))
+
+        stage = "image_edit"
+        edited_ref = backends.image_editor.edit(
+            sample.image_ref, instruction, derive_seed(sample.seed, attempt, "image_edit"))
+        record.edited_image = edited_ref
+
+        stage = "generate_target"
+        s_tgt, z_tgt = backends.generator.generate(
+            edited_ref, derive_seed(sample.seed, attempt, "generate_target"))
+
+        stage = "voxel_merge"
+        merged, mask = voxel_merge(s_src, s_tgt, connectivity, policy)
+
+        stage = "slat_merge"
+        merged_slat = slat_merge(z_src, z_tgt, mask, merged)
+
+        stage = "write_artifacts"
+        for name, suffix, payload in (
+            ("source_structure", "src", s_src),
+            ("edited_structure", "tgt", s_tgt),
+            ("merged_structure", "merged", merged),
+            ("source_slat", "src_slat", z_src),
+            ("merged_slat", "merged_slat", merged_slat),
+        ):
+            path = f"{sample.id}.{suffix}.nvx"
+            write_nvx(payload, out_dir / path)
+            setattr(record, name, path)
+        record.voxel_sum_src = s_src.voxel_sum
+        record.voxel_sum_tgt = s_tgt.voxel_sum
+        record.mask_component_sizes = list(mask.component_sizes)
+        record.mask_selected_sizes = list(mask.selected_sizes)
+
+        stage = "filter"
+        accepted, reason = backends.quality_filter.judge(record)
+        record.filter_reason = reason
+        record.status = "ok" if accepted else "filtered"
+    except Exception as exc:  # noqa: BLE001 - failures become records, not crashes
+        record.status = "failed"
+        record.error = f"{stage}: {type(exc).__name__}: {exc}"
+    return record
+
+
+def run_sample_sequential(sample, backends, out_dir, merge_policy=None, connectivity=DEFAULT_CONNECTIVITY,
+                          max_attempts=1):
+    """``run_sample`` with its attempts run by :func:`run_attempt_sequential`."""
+    policy = Threshold() if merge_policy is None else merge_policy
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for attempt in range(1, max_attempts + 1):
+        record = run_attempt_sequential(sample, backends, out_dir, policy, connectivity, attempt)
+        if record.status != "filtered":
+            break
+    return record
+
+
+def run_pipeline_sequential(out_dir, n_samples, backends, seed=0, max_attempts=1) -> Path:
+    """``run_pipeline`` with mock image refs, one sample after another on
+    the calling thread; returns the manifest path."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = out_dir / "manifest.jsonl"
+    with open(manifest, "w", encoding="utf-8") as fh:
+        for i in range(n_samples):
+            spec = SampleSpec(id=f"sample-{i:06d}", image_ref=f"mock-image://{seed}/{i:06d}",
+                              seed=derive_seed(seed, i))
+            fh.write(record_to_line(run_sample_sequential(spec, backends, out_dir, max_attempts=max_attempts)))
+    return manifest

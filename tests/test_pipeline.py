@@ -1,5 +1,7 @@
 import json
+import threading
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,11 +29,15 @@ from voxedit import (
 from voxedit.merge import apply_flip, diff_xor, label_components, select_components, TopK
 from voxedit import pipeline
 from voxedit.pipeline import (
+    MockFilterBackend,
     MockGeneratorBackend,
+    MockImageEditor,
+    MockInstructionBackend,
     SampleSpec,
     derive_seed,
     record_to_line,
 )
+from oracles import run_pipeline_sequential, run_sample_sequential
 
 
 # --- instruction templating ---------------------------------------------
@@ -297,6 +303,122 @@ def test_run_sample_backend_failure_tagged(tmp_path):
     assert record.merged_structure is None  # no partial-ok artifacts recorded
 
 
+def _failing_suite(spec, attempt, stages):
+    """Mock backends whose ``stages`` fail at ``attempt`` of ``spec``; the
+    filter rejects attempt 1, so at ``max_attempts`` 2 the failure comes
+    after a whole filtered attempt.  ``voxel_merge`` and ``slat_merge``
+    fail through a target of another resolution or channel count."""
+    seeds = {stage: derive_seed(spec.seed, attempt, stage)
+             for stage in ("instruction", "generate_source", "image_edit", "generate_target")}
+
+    def fails(stage, seed):
+        return stage in stages and seed == seeds[stage]
+
+    class Instruction(MockInstructionBackend):
+        def propose(self, image_ref, seed):
+            if fails("instruction", seed):
+                raise RuntimeError("instruction service down")
+            return super().propose(image_ref, seed)
+
+    class Editor(MockImageEditor):
+        def edit(self, image_ref, instruction, seed):
+            if fails("image_edit", seed):
+                raise RuntimeError("edit service down")
+            return super().edit(image_ref, instruction, seed)
+
+    class Generator(MockGeneratorBackend):
+        def generate(self, image_ref, seed):
+            if fails("generate_source", seed) or fails("generate_target", seed):
+                raise RuntimeError(f"generator down for {image_ref}")
+            if seed == seeds["generate_target"] and "voxel_merge" in stages:
+                return MockGeneratorBackend(8, 4).generate(image_ref, seed)
+            if seed == seeds["generate_target"] and "slat_merge" in stages:
+                return MockGeneratorBackend(16, 3).generate(image_ref, seed)
+            return super().generate(image_ref, seed)
+
+    class Filter(MockFilterBackend):
+        def judge(self, record):
+            if "filter" in stages and record.attempt == attempt:
+                raise RuntimeError("judge down")
+            return super().judge(record)
+
+    return pipeline.BackendSuite(Instruction(), Editor(), Generator(16, 4), Filter((False, True)))
+
+
+_ARTIFACT_SUFFIXES = ("src", "tgt", "merged", "src_slat", "merged_slat")
+
+
+@pytest.mark.parametrize("max_attempts", [1, 2])
+@pytest.mark.parametrize("stages, reported", [
+    (("instruction",), "instruction"),
+    (("generate_source",), "generate_source"),
+    (("image_edit",), "image_edit"),
+    (("generate_target",), "generate_target"),
+    (("voxel_merge",), "voxel_merge"),
+    (("slat_merge",), "slat_merge"),
+    (("filter",), "filter"),
+    (("generate_source", "image_edit"), "generate_source"),
+    (("generate_source", "generate_target"), "generate_source"),
+    *((("write_artifacts", suffix), "write_artifacts") for suffix in _ARTIFACT_SUFFIXES),
+])
+def test_run_sample_failure_equals_the_sequential_oracle(tmp_path, monkeypatch, stages, reported, max_attempts):
+    spec = SampleSpec(id="s", image_ref="mock-image://t/5", seed=13)
+    records = []
+    for name, run in (("concurrent", run_sample), ("sequential", run_sample_sequential)):
+        # the same relative out_dir for both, since a failed write's message names its path
+        work_dir = tmp_path / name
+        work_dir.mkdir()
+        monkeypatch.chdir(work_dir)
+        out_dir = Path("out")
+        if "write_artifacts" in stages:
+            # a directory where one artifact goes makes its write fail
+            (out_dir / f"{spec.id}.{stages[1]}.nvx").mkdir(parents=True)
+        suite = _failing_suite(spec, max_attempts, stages)
+        records.append(run(spec, suite, out_dir, max_attempts=max_attempts))
+    concurrent, sequential = records
+    assert concurrent.status == "failed" and concurrent.error.startswith(f"{reported}:"), concurrent.error
+    assert record_to_line(concurrent) == record_to_line(sequential)
+
+
+def test_no_thread_outlives_a_run(tmp_path):
+    raised_on = []
+
+    class InterruptSource(MockGeneratorBackend):
+        def generate(self, image_ref, seed):
+            if "::edit::" not in image_ref:
+                raised_on.append(threading.current_thread())
+                raise KeyboardInterrupt
+            return super().generate(image_ref, seed)
+
+    class Boom(MockImageEditor):
+        def edit(self, image_ref, instruction, seed):
+            raise RuntimeError("edit service down")
+
+    baseline = threading.active_count()
+    spec = SampleSpec(id="s", image_ref="mock-image://t/6", seed=17)
+    for case in ("ok", "failed", "interrupt"):
+        suite = mock_backend_suite(16, 4)
+        if case == "failed":
+            suite.image_editor = Boom()
+        if case == "interrupt":
+            suite.generator = InterruptSource(16, 4)
+            with pytest.raises(KeyboardInterrupt):
+                run_sample(spec, suite, tmp_path / case, max_attempts=2)
+        else:
+            assert run_sample(spec, suite, tmp_path / case, max_attempts=2).status == case
+        assert threading.active_count() == baseline, case
+        for workers in (1, 2):
+            out_dir = tmp_path / f"{case}-run{workers}"
+            if case == "interrupt":
+                with pytest.raises(KeyboardInterrupt):
+                    run_pipeline(out_dir, n_samples=4, seed=1, workers=workers, backends=suite)
+            else:
+                run_pipeline(out_dir, n_samples=4, seed=1, workers=workers, backends=suite)
+            assert threading.active_count() == baseline, (case, workers)
+    # the interrupt came from the helper thread, not from the thread that called run_sample
+    assert raised_on and threading.main_thread() not in raised_on
+
+
 def test_run_sample_attempts_differ(tmp_path):
     # the re-sampled attempt must draw a fresh instruction
     suite = mock_backend_suite(resolution=16, channels=4, verdicts=(False, True))
@@ -325,15 +447,40 @@ def test_pipeline_two_runs_byte_identical(tmp_path):
 
 
 def test_pipeline_workers_do_not_change_output(tmp_path):
-    for script, verdicts in enumerate([(True,), (True, False) * 10, (False, True, False)]):
-        def run(name, workers):
-            return run_pipeline(tmp_path / f"{name}{script}", n_samples=6, seed=5, max_attempts=3,
-                                workers=workers,
-                                backends=mock_backend_suite(16, 4, verdicts=verdicts)).read_bytes()
+    def outputs(out_dir):
+        return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
 
-        serial = run("serial", 1)
-        assert run("parallel", 4) == serial, verdicts
-        assert run("parallel-again", 4) == serial, verdicts
+    for script, verdicts in enumerate([(True,), (True, False) * 10, (False, True, False)]):
+        kwargs = dict(n_samples=6, seed=5, max_attempts=3)
+        sequential = tmp_path / f"sequential{script}"
+        run_pipeline_sequential(sequential, backends=mock_backend_suite(16, 4, verdicts=verdicts), **kwargs)
+        want = outputs(sequential)
+        assert sum(name.endswith(".nvx") for name in want) == 6 * 5
+        for workers in (1, 2, 4):
+            out_dir = tmp_path / f"workers{workers}-{script}"
+            run_pipeline(out_dir, workers=workers, backends=mock_backend_suite(16, 4, verdicts=verdicts), **kwargs)
+            assert outputs(out_dir) == want, (verdicts, workers)
+
+
+def test_pipeline_starts_no_sample_two_per_worker_ahead_of_the_manifest(tmp_path):
+    for workers in (1, 2):
+        manifest = tmp_path / f"workers{workers}" / "manifest.jsonl"
+        leads = []
+
+        class Spy(MockInstructionBackend):
+            def propose(self, image_ref, seed):
+                index = int(image_ref.rsplit("/", 1)[1])
+                leads.append(index - manifest.read_bytes().count(b"\n"))
+                if index == 0:
+                    # hold the first sample, so only the bound keeps the others from running ahead
+                    threading.Event().wait(timeout=0.3)
+                return super().propose(image_ref, seed)
+
+        suite = mock_backend_suite(16, 4)
+        suite.instruction = Spy()
+        run_pipeline(manifest.parent, n_samples=12, seed=2, workers=workers, backends=suite)
+        assert len(leads) == 12
+        assert max(leads) < 2 * workers, (workers, leads)
 
 
 def test_pipeline_interrupt_keeps_the_finished_prefix(tmp_path):
