@@ -69,7 +69,6 @@ from .pipeline import (
     append_record,
     load_manifest,
     mock_backend_suite,
-    parse_instruction,
     render_instruction,
     run_pipeline,
     run_sample,

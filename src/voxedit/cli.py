@@ -7,6 +7,7 @@ through explicit --out flags; diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -81,18 +82,29 @@ def _mask_report(mask: FlipMask, policy, connectivity: int) -> dict:
     }
 
 
-def _mask_from_report(obj: dict) -> FlipMask:
+def _read_json_object(path, what: str) -> dict:
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    if type(obj) is not dict:
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return obj
+
+
+def _read_mask(path) -> FlipMask:
+    """The mask report that ``merge --mask-out`` writes; the file comes from
+    outside the program, so every field it uses is checked."""
+    obj = _read_json_object(path, "mask report")
+    sizes = obj.get("selected_sizes", []), obj.get("component_sizes", [])
+    if not all(type(v) is list for v in sizes):
+        raise ValueError("mask report fields 'selected_sizes' and 'component_sizes' must be lists")
     s = make_sparse(obj["coords"], obj["resolution"])
     return FlipMask(resolution=s.resolution, coords=s.coords, key=s.key,
-                    selected_sizes=tuple(obj.get("selected_sizes", ())),
-                    component_sizes=tuple(obj.get("component_sizes", ())))
+                    selected_sizes=tuple(sizes[0]), component_sizes=tuple(sizes[1]))
 
 
 def _policy_from_args(args):
-    if getattr(args, "top_k", None) is not None:
+    if args.top_k is not None:
         return TopK(args.top_k)
-    tau = getattr(args, "tau", None)
-    return Threshold() if tau is None else Threshold(tau)
+    return Threshold() if args.tau is None else Threshold(args.tau)
 
 
 def _vector(text: str) -> np.ndarray:
@@ -158,8 +170,7 @@ def cmd_slat_merge(args) -> int:
     z_src = _read_latent(args.src_slat)
     z_tgt = _read_latent(args.tgt_slat)
     merged = _read_structure(args.merged)
-    mask = mask_all(merged) if args.mask_all else \
-        _mask_from_report(json.loads(Path(args.mask).read_text(encoding="utf-8")))
+    mask = mask_all(merged) if args.mask_all else _read_mask(args.mask)
     out = slat_merge(z_src, z_tgt, mask, merged)
     write_nvx(out, args.out)
     _emit({"out": str(args.out), "voxel_sum": out.voxel_sum, "channels": out.channels,
@@ -175,17 +186,14 @@ def _oracle_from_args(args):
 
 
 def _flow_config(args) -> FlowEditConfig:
-    fields = {}
-    if args.config:
-        fields.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    for name, flag in (("steps", "steps"), ("n_max", "n_max"), ("n_min", "n_min"),
-                       ("n_avg", "n_avg"), ("cfg_source_scale", "cfg_src"),
-                       ("cfg_target_scale", "cfg_tgt"), ("lambda_src", "lambda_src"),
-                       ("rng_seed", "seed")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            fields[name] = value
-    return FlowEditConfig(**fields)
+    """``--config`` values, then every flag given over them (a flag's dest is its field)."""
+    names = [f.name for f in dataclasses.fields(FlowEditConfig)]
+    values = _read_json_object(args.config, "--config file") if args.config else {}
+    unknown = sorted(set(values) - set(names))
+    if unknown:
+        raise ValueError(f"--config file {args.config} has unknown keys {unknown}; the keys are {names}")
+    values.update((name, value) for name, value in vars(args).items() if name in names and value is not None)
+    return FlowEditConfig(**values)
 
 
 def cmd_flowedit(args) -> int:
@@ -228,7 +236,7 @@ def cmd_consistency(args) -> int:
     s_src = _read_structure(args.src)
     s_tgt = _read_structure(args.tgt)
     merged = _read_structure(args.merged)
-    mask = _mask_from_report(json.loads(Path(args.mask).read_text(encoding="utf-8")))
+    mask = _read_mask(args.mask)
     rep = region_consistency(s_src, s_tgt, merged, mask)
     _emit({"outside_mask_iou": rep.outside_mask_iou,
            "inside_mask_match_fraction": rep.inside_mask_match_fraction,
@@ -287,18 +295,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the difference map as occupancy NVX")
     p.set_defaults(func=cmd_diff)
 
+    def add_connectivity_flag(p):
+        p.add_argument("--connectivity", type=int, choices=CONNECTIVITIES, default=DEFAULT_CONNECTIVITY)
+
+    def add_merge_flags(p):  # what _policy_from_args reads, plus the connectivity
+        group = p.add_mutually_exclusive_group()
+        # no default: argparse does not count a value equal to the default as
+        # given, so a default of DEFAULT_TAU would let `--tau 100 --top-k 2` through
+        group.add_argument("--tau", type=int, help=f"select components larger than this size (default {DEFAULT_TAU})")
+        group.add_argument("--top-k", type=int, help="select the k largest components instead")
+        add_connectivity_flag(p)
+
     p = sub.add_parser("components", help="connectivity components of a difference-map NVX file")
     p.add_argument("input", help="occupancy NVX path holding the difference map")
-    p.add_argument("--connectivity", type=int, choices=CONNECTIVITIES, default=DEFAULT_CONNECTIVITY)
+    add_connectivity_flag(p)
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("merge", help="region-aware merge of an edited structure into its source")
     p.add_argument("--src", required=True, help="source occupancy NVX")
     p.add_argument("--tgt", required=True, help="edited occupancy NVX")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--tau", type=int, help=f"select components larger than this size (default {DEFAULT_TAU})")
-    group.add_argument("--top-k", type=int, help="select the k largest components instead")
-    p.add_argument("--connectivity", type=int, choices=CONNECTIVITIES, default=DEFAULT_CONNECTIVITY)
+    add_merge_flags(p)
     p.add_argument("--out", required=True, help="merged occupancy NVX path")
     p.add_argument("--mask-out", help="write the mask + audit report as JSON")
     p.set_defaults(func=cmd_merge)
@@ -314,23 +330,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output latent NVX path")
     p.set_defaults(func=cmd_slat_merge)
 
-    def add_flow_flags(p, oracle_required=True):
+    def add_flow_flags(p):
+        # each config flag's dest is its FlowEditConfig field; _flow_config relies on it
         p.add_argument("--steps", type=int, help="sampling steps (default 25)")
-        p.add_argument("--n-max", dest="n_max", type=int, help="first active edit step (default 15)")
-        p.add_argument("--n-min", dest="n_min", type=int, help="switch to plain sampling below this step (default 0)")
-        p.add_argument("--n-avg", dest="n_avg", type=int, help="noise draws averaged per step (default 5)")
-        p.add_argument("--cfg-src", dest="cfg_src", type=float, help="source guidance scale (default 1.5)")
-        p.add_argument("--cfg-tgt", dest="cfg_tgt", type=float, help="target guidance scale (default 5.5)")
+        p.add_argument("--n-max", type=int, help="first active edit step (default 15)")
+        p.add_argument("--n-min", type=int, help="switch to plain sampling below this step (default 0)")
+        p.add_argument("--n-avg", type=int, help="noise draws averaged per step (default 5)")
+        p.add_argument("--cfg-src", dest="cfg_source_scale", type=float, help="source guidance scale (default 1.5)")
+        p.add_argument("--cfg-tgt", dest="cfg_target_scale", type=float, help="target guidance scale (default 5.5)")
         p.add_argument("--lambda", dest="lambda_src", type=float, help="source-velocity weight (default 1.0)")
-        p.add_argument("--seed", type=int, required=True, help="noise seed (required; no wall-clock seeding)")
+        p.add_argument("--seed", dest="rng_seed", type=int, required=True,
+                       help="noise seed (required; no wall-clock seeding)")
         p.add_argument("--config", help="JSON file with config fields; flags override")
-        p.add_argument("--oracle", choices=("delta", "gaussian"), required=oracle_required, default="delta")
-        p.add_argument("--src-anchor", dest="src_anchor", default="0", help="delta oracle: source anchor, comma-separated")
-        p.add_argument("--tgt-anchor", dest="tgt_anchor", default="1", help="delta oracle: target anchor, comma-separated")
-        p.add_argument("--src-mean", dest="src_mean", default="0", help="gaussian oracle: source mean")
-        p.add_argument("--tgt-mean", dest="tgt_mean", default="1", help="gaussian oracle: target mean")
-        p.add_argument("--src-var", dest="src_var", type=float, default=1.0, help="gaussian oracle: source variance")
-        p.add_argument("--tgt-var", dest="tgt_var", type=float, default=1.0, help="gaussian oracle: target variance")
+        p.add_argument("--oracle", choices=("delta", "gaussian"), required=True)
+        p.add_argument("--src-anchor", default="0", help="delta oracle: source anchor, comma-separated")
+        p.add_argument("--tgt-anchor", default="1", help="delta oracle: target anchor, comma-separated")
+        p.add_argument("--src-mean", default="0", help="gaussian oracle: source mean")
+        p.add_argument("--tgt-mean", default="1", help="gaussian oracle: target mean")
+        p.add_argument("--src-var", type=float, default=1.0, help="gaussian oracle: source variance")
+        p.add_argument("--tgt-var", type=float, default=1.0, help="gaussian oracle: target variance")
 
     p = sub.add_parser("flowedit", help="run the edit integrator on an analytic velocity oracle")
     add_flow_flags(p)
@@ -364,10 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--samples", type=int, required=True, help="number of samples to process")
     pr.add_argument("--seed", type=int, required=True, help="master seed (required)")
     pr.add_argument("--max-attempts", dest="max_attempts", type=int, default=1)
-    group = pr.add_mutually_exclusive_group()
-    group.add_argument("--tau", type=int, help=f"threshold policy (default {DEFAULT_TAU})")
-    group.add_argument("--top-k", type=int, help="top-k policy instead of threshold")
-    pr.add_argument("--connectivity", type=int, choices=CONNECTIVITIES, default=DEFAULT_CONNECTIVITY)
+    add_merge_flags(pr)
     pr.add_argument("--workers", type=int, default=1)
     pr.add_argument("--resolution", type=int, default=32, help="mock generator grid resolution")
     pr.add_argument("--channels", type=int, default=8, help="mock generator latent channels")
@@ -391,7 +406,7 @@ def dispatch(argv=None) -> int:
     except (VoxeditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

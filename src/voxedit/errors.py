@@ -98,4 +98,4 @@ class EmptySlot(InstructionError):
 
 
 class SlotSyntaxError(InstructionError):
-    """A slot value would make the rendered instruction unparseable."""
+    """A slot value holds a line break, which the one-line instruction cannot."""

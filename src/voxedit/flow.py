@@ -13,6 +13,7 @@ bit and two draws never share a stream.
 from __future__ import annotations
 
 import abc
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,11 @@ class FlowEditConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # the values may come from a --config file
+        for name in ("steps", "n_max", "n_min", "n_avg", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not (0 <= self.n_max <= self.steps):
@@ -41,7 +47,8 @@ class FlowEditConfig:
         if self.n_avg < 1:
             raise ValueError("n_avg must be >= 1")
         for name in ("cfg_source_scale", "cfg_target_scale", "lambda_src"):
-            if not np.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
 
 

@@ -72,7 +72,10 @@ def _parse_coords(coords, resolution: int) -> np.ndarray:
     ``[0, resolution)``; nothing is truncated or wrapped, since coords may
     come from outside the program, such as a mask JSON file.
     """
-    arr = np.asarray(coords if isinstance(coords, np.ndarray) else list(coords))
+    try:
+        arr = np.asarray(coords if isinstance(coords, np.ndarray) else list(coords))
+    except TypeError:  # not a collection at all, such as a JSON null
+        raise ValueError("coords must be an (N, 3) collection") from None
     if arr.size == 0:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:

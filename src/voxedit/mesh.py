@@ -293,10 +293,12 @@ def load_obj(path) -> TriMesh:
     verts: list[list[float]] = []
     tris: list[tuple[int, int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
+            if parts[0] in ("v", "f") and len(parts) < 4:
+                raise ValueError(f"{path} line {line_no}: {parts[0]!r} needs at least 3 values, got {len(parts) - 1}")
             if parts[0] == "v":
                 verts.append([float(p) for p in parts[1:4]])
             elif parts[0] == "f":

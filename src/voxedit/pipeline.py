@@ -38,10 +38,6 @@ _RENDERERS = {
     "replace": lambda s: f"Replace {s['original']} with {s['replacement']}",
 }
 
-# the trailing slot must not contain the phrase that separates it from the
-# one before, or the rendered string cannot be parsed back
-_TRAILING_SEPARATOR = {"add": (" to ", "location"), "replace": (" with ", "replacement")}
-
 
 @dataclass(frozen=True)
 class EditInstruction:
@@ -81,31 +77,8 @@ def render_instruction(action: str, slots: dict) -> EditInstruction:
     unknown = set(slots) - set(wanted)
     if unknown:
         raise MissingSlot(f"unexpected slots {sorted(unknown)} for action {action!r}")
-    sep = _TRAILING_SEPARATOR.get(action)
-    if sep and sep[0] in slots[sep[1]]:
-        raise SlotSyntaxError(f"slot {sep[1]!r} must not contain {sep[0]!r}")
     clean = {k: slots[k] for k in wanted}
     return EditInstruction(action=action, slots=clean, rendered=_RENDERERS[action](clean))
-
-
-def parse_instruction(text: str) -> EditInstruction:
-    """Inverse of :func:`render_instruction` on grammar-valid strings.
-
-    The two-slot grammars split on the last occurrence of their separator
-    phrase, matching the render-side constraint on the trailing slot.
-    """
-    for action, names in ACTION_SLOTS.items():
-        prefix = action.capitalize() + " "
-        if not text.startswith(prefix):
-            continue
-        body = text[len(prefix):]
-        if action not in _TRAILING_SEPARATOR:
-            return render_instruction(action, {names[0]: body})
-        head, sep, tail = body.rpartition(_TRAILING_SEPARATOR[action][0])
-        if not sep:
-            raise InstructionError(f"cannot parse {action} instruction {text!r}")
-        return render_instruction(action, {names[0]: head, names[1]: tail})
-    raise InstructionError(f"no instruction grammar matches {text!r}")
 
 
 # --- manifest records -----------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -215,6 +216,18 @@ def test_voxelize_rejects_non_finite_input(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_voxelize_rejects_short_obj_records(tmp_path, capsys):
+    # six 2-value vertices used to be reshaped into four wrong ones
+    out = tmp_path / "v.nvx"
+    for i, text in enumerate(["v 0 0\n" * 6 + "f 1 2 3\n", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n"]):
+        obj = tmp_path / f"in{i}.obj"
+        obj.write_text(text)
+        code, stdout, err = run_cli(capsys, "voxelize", "--mesh", str(obj), "--resolution", "8", "--out", str(out))
+        assert (code, stdout) == (1, ""), text
+        assert err.startswith("error: ValueError:") and f"line {1 if i == 0 else 4}:" in err, err
+        assert not out.exists()
+
+
 def test_slat_merge_command(tmp_path, capsys):
     rng = np.random.default_rng(73)
     src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=73)
@@ -233,9 +246,9 @@ def test_slat_merge_command(tmp_path, capsys):
     )
     assert code == 0
     # byte-for-byte equal to the library path
-    from voxedit.cli import _mask_from_report
+    from voxedit.cli import _read_mask
 
-    mask = _mask_from_report(json.loads(mask_path.read_text()))
+    mask = _read_mask(mask_path)
     expected = slat_merge(z_src, z_tgt, mask, read_nvx(merged_path))
     assert out_path.read_bytes() == encode_nvx(expected)
 
@@ -312,6 +325,51 @@ def test_consistency_rejects_fractional_mask_coords(tmp_path, capsys):
         assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("report", [[1, 2], {"resolution": 16, "coords": None},
+                                    {"resolution": 16, "coords": [[2, 0, 0]], "selected_sizes": 5}],
+                         ids=["list", "null-coords", "scalar-sizes"])
+def test_malformed_mask_report_exits_1(tmp_path, capsys, report):
+    src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=77)
+    z = make_latent(src.coords, np.zeros((src.voxel_sum, 2), dtype=np.float32), 16)
+    write_nvx(z, tmp_path / "z.nvx")
+    mask_path = tmp_path / "mask.json"
+    mask_path.write_text(json.dumps(report))
+    for argv in (["consistency", "--src", str(src_path), "--tgt", str(tgt_path), "--merged", str(src_path)],
+                 ["slat-merge", "--src-slat", str(tmp_path / "z.nvx"), "--tgt-slat", str(tmp_path / "z.nvx"),
+                  "--merged", str(src_path), "--out", str(tmp_path / "out.nvx")]):
+        code, stdout, stderr = run_cli(capsys, *argv, "--mask", str(mask_path))
+        assert (code, stdout) == (1, ""), argv[0]
+        assert stderr.startswith("error: ValueError:") and stderr.count("\n") == 1, argv[0]
+    assert not (tmp_path / "out.nvx").exists()
+
+
+@pytest.mark.parametrize("config", [{"stepz": 3}, [1], {"steps": "10"}], ids=["unknown-key", "list", "string"])
+def test_malformed_flow_config_exits_1(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    for command, extra in (("flowedit", ["--x0", "0"]), ("sample", [])):
+        code, stdout, stderr = run_cli(capsys, command, "--oracle", "delta", "--seed", "0", "--config", str(cfg), *extra)
+        assert (code, stdout) == (1, ""), command
+        assert stderr.startswith("error: ValueError:") and stderr.count("\n") == 1, command
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(voxedit.FlowEditConfig)])
+def test_every_flow_config_field_is_set_by_a_flag_and_by_config(tmp_path, name):
+    # the flag dests and the --config keys are one name set: the config's fields
+    parser = build_parser()
+    commands = next(a for a in parser._actions if hasattr(a, "choices") and a.choices).choices
+    flag = next(a.option_strings[0] for a in commands["flowedit"]._actions if a.dest == name)
+    value = getattr(voxedit.FlowEditConfig(), name) + 1
+    expected = dataclasses.replace(voxedit.FlowEditConfig(rng_seed=9), **{name: value})
+    argv = ["flowedit", "--oracle", "delta", "--x0", "0", "--seed", "9"]
+    assert cli_module._flow_config(parser.parse_args([*argv, flag, str(value)])) == expected
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: value}))
+    by_config = cli_module._flow_config(parser.parse_args([*argv, "--config", str(cfg)]))
+    # --seed is required, so it always overrides a config's rng_seed
+    assert by_config == (voxedit.FlowEditConfig(rng_seed=9) if name == "rng_seed" else expected)
+
+
 def test_pipeline_run_command(tmp_path, capsys):
     manifests = {}
     for workers in ("1", "2"):
@@ -367,10 +425,14 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_merge_policy_flags_mutually_exclusive(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        dispatch(["merge", "--src", "a", "--tgt", "b", "--out", "c",
-                  "--tau", "1", "--top-k", "2"])
-    assert exc.value.code == 2
+    # --tau 100 equals DEFAULT_TAU, which argparse would not count as given were it the default
+    for command in (["merge", "--src", "a", "--tgt", "b", "--out", "c"],
+                    ["pipeline", "run", "--out-dir", str(tmp_path / "p"), "--samples", "1", "--seed", "1"]):
+        for tau in ("1", "100"):
+            with pytest.raises(SystemExit) as exc:
+                dispatch([*command, "--tau", tau, "--top-k", "2"])
+            assert exc.value.code == 2, (command[0], tau)
+    assert not (tmp_path / "p").exists()
 
 
 def test_operation_error_exits_1(tmp_path, capsys):

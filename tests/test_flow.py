@@ -97,6 +97,11 @@ def test_config_defaults():
         {"n_avg": 0},
         {"cfg_target_scale": float("nan")},
         {"lambda_src": float("inf")},
+        # values a --config file may hold
+        {"steps": "10"},
+        {"n_avg": 2.0},
+        {"rng_seed": True},
+        {"lambda_src": None},
     ],
 )
 def test_config_rejects_invalid(fields):

@@ -56,6 +56,12 @@ def test_non_integer_or_huge_coords_rejected(build, bad):
         build([[bad, 0, 0]])
 
 
+@pytest.mark.parametrize("coords", [None, 5])
+def test_non_collection_coords_rejected(coords):
+    with pytest.raises(ValueError):
+        make_sparse(coords, 4)
+
+
 def test_resolution_range():
     with pytest.raises(ValueError):
         make_sparse([], 1)

@@ -409,6 +409,16 @@ def test_obj_round_trip(tmp_path):
     assert " f " not in text.split("f ", 1)[0]  # v block precedes f block
 
 
+@pytest.mark.parametrize("text, line", [("v 0 0\n" * 6 + "f 1 2 3\n", 1),
+                                        ("v 0 0 0\nv 1 0 0\nv 0 1 0\n\nf 1 2\n", 5)],
+                         ids=["two-value-vertices", "two-index-face"])
+def test_obj_short_records_rejected(tmp_path, text, line):
+    path = tmp_path / "short.obj"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"line {line}:"):
+        load_obj(path)
+
+
 def test_obj_quad_fan_triangulation(tmp_path):
     path = tmp_path / "quad.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
