@@ -186,13 +186,16 @@ def _oracle_from_args(args):
 
 
 def _flow_config(args) -> FlowEditConfig:
-    """``--config`` values, then every flag given over them (a flag's dest is its field)."""
+    """``--config`` values, then every flag given over them (a flag's dest is its field).
+    The seed comes from ``--seed`` or else the file; with neither, a usage error."""
     names = [f.name for f in dataclasses.fields(FlowEditConfig)]
     values = _read_json_object(args.config, "--config file") if args.config else {}
     unknown = sorted(set(values) - set(names))
     if unknown:
         raise ValueError(f"--config file {args.config} has unknown keys {unknown}; the keys are {names}")
     values.update((name, value) for name, value in vars(args).items() if name in names and value is not None)
+    if "rng_seed" not in values:
+        args.usage_error("a seed is required: give --seed, or rng_seed in the --config file")
     return FlowEditConfig(**values)
 
 
@@ -339,9 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cfg-src", dest="cfg_source_scale", type=float, help="source guidance scale (default 1.5)")
         p.add_argument("--cfg-tgt", dest="cfg_target_scale", type=float, help="target guidance scale (default 5.5)")
         p.add_argument("--lambda", dest="lambda_src", type=float, help="source-velocity weight (default 1.0)")
-        p.add_argument("--seed", dest="rng_seed", type=int, required=True,
-                       help="noise seed (required; no wall-clock seeding)")
+        p.add_argument("--seed", dest="rng_seed", type=int,
+                       help="noise seed; required unless --config sets rng_seed (no wall-clock seeding)")
         p.add_argument("--config", help="JSON file with config fields; flags override")
+        p.set_defaults(usage_error=p.error)  # exits 2
         p.add_argument("--oracle", choices=("delta", "gaussian"), required=True)
         p.add_argument("--src-anchor", default="0", help="delta oracle: source anchor, comma-separated")
         p.add_argument("--tgt-anchor", default="1", help="delta oracle: target anchor, comma-separated")

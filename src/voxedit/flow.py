@@ -8,12 +8,20 @@ fields; closed-form oracles make the whole loop exactly checkable.
 
 Noise draws come from counter-based Philox substreams keyed on
 (``config.rng_seed``, step index, draw index), so runs reproduce bit for
-bit and two draws never share a stream.
+bit and two draws never share a stream.  A draw never depends on the
+state, so on states of at least ``_OVERLAP_MIN`` values ``flowedit_run``
+draws the noise one draw ahead on a helper thread that the call owns and
+joins before it returns or raises, while the calling thread evaluates
+the oracle and combines the velocities.  The oracle is evaluated on the
+calling thread only, and no array handed to it or returned by it is
+written after the call.
 """
 from __future__ import annotations
 
 import abc
+import contextlib
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +70,21 @@ def linear_schedule(steps: int) -> np.ndarray:
 def cfg_combine(v_uncond: np.ndarray, v_cond: np.ndarray, scale: float) -> np.ndarray:
     """Classifier-free guidance: extrapolate from the unconditioned field
     toward the conditioned one."""
+    return _cfg_combine(v_uncond, v_cond, scale, None)
+
+
+def _cfg_combine(v_uncond, v_cond, scale: float, out: np.ndarray | None) -> np.ndarray:
+    """``cfg_combine`` written into ``out`` (a new array when None), with the
+    bits of ``v_uncond + scale * (v_cond - v_uncond)``.  The float64 cast
+    comes first, so a float32 oracle result never selects a float32 loop."""
     v_uncond = np.asarray(v_uncond, dtype=np.float64)
     v_cond = np.asarray(v_cond, dtype=np.float64)
     if v_uncond.shape != v_cond.shape:
         raise DimensionMismatch(f"{v_uncond.shape} vs {v_cond.shape}")
-    return v_uncond + scale * (v_cond - v_uncond)
+    out = np.subtract(v_cond, v_uncond, out=out)
+    out *= scale
+    out += v_uncond
+    return out
 
 
 class VelocityOracle(abc.ABC):
@@ -77,6 +95,11 @@ class VelocityOracle(abc.ABC):
     axis).  ``conditioned=False`` queries the unconditioned field; the
     analytic oracles answer with the conditioned value, which makes CFG
     degenerate to the conditioned field exactly.
+
+    ``flowedit_run`` and ``euler_sample`` call ``evaluate`` on the calling
+    thread only (``flowedit_run``'s helper thread only draws noise), and
+    never write ``z`` or the returned array after the call, so an oracle
+    may keep either, or return a cached array.
     """
 
     @abc.abstractmethod
@@ -114,7 +137,9 @@ class DeltaVelocityOracle(VelocityOracle):
 
     def evaluate(self, z, t, condition, conditioned=True):
         t = _check_time(t)
-        return (_check_state(z, self.dim) - self.anchors[condition]) / t
+        v = _check_state(z, self.dim) - self.anchors[condition]
+        v /= t
+        return v
 
 
 class AffineGaussianVelocityOracle(VelocityOracle):
@@ -148,17 +173,53 @@ class AffineGaussianVelocityOracle(VelocityOracle):
     def evaluate(self, z, t, condition, conditioned=True):
         t = _check_time(t)
         z = _check_state(z, self.dim)
-        return (z - self.posterior_mean(z, t, condition)) / t
+        v = z - self.posterior_mean(z, t, condition)
+        v /= t
+        return v
 
 
 def _noise_stream(seed: int, step: int, draw: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1), counter=[0, 0, step, draw]))
 
 
-def _guided(oracle: VelocityOracle, z: np.ndarray, t: float, condition, scale: float) -> np.ndarray:
+# states at least this long draw their noise on a helper thread; on
+# shorter ones the hand-off costs more than the draw it hides
+_OVERLAP_MIN = 1 << 14
+
+
+def _noise(seed: int, keys: list, n: int, helper: ThreadPoolExecutor | None):
+    """Yields ``n`` standard normals per (step, draw) key, in order.
+
+    Without a ``helper``, each draw is made inline into one buffer.  With
+    one, the helper fills two buffers in turn, one draw ahead: draw j+1
+    is asked for only once draw j is done, and goes into the buffer that
+    held draw j-1, which the caller has finished reading when it asks for
+    draw j.
+    """
+    def fill(key, out):
+        _noise_stream(seed, *key).standard_normal(out=out)
+        return out
+
+    ready = np.empty(n)
+    if helper is None:
+        for key in keys:
+            yield fill(key, ready)
+        return
+    spare = np.empty(n)
+    pending = helper.submit(fill, keys[0], ready)
+    for key in keys[1:]:
+        ready = pending.result()
+        pending = helper.submit(fill, key, spare)
+        yield ready
+        spare = ready
+    yield pending.result()
+
+
+def _guided(oracle: VelocityOracle, z: np.ndarray, t: float, condition, scale: float,
+            out: np.ndarray | None = None) -> np.ndarray:
     v_uncond = oracle.evaluate(z, t, condition, conditioned=False)
     v_cond = oracle.evaluate(z, t, condition, conditioned=True)
-    return cfg_combine(v_uncond, v_cond, scale)
+    return _cfg_combine(v_uncond, v_cond, scale, out)
 
 
 def _require_finite(z: np.ndarray, where: str) -> None:
@@ -209,28 +270,47 @@ def flowedit_run(
     path; for steps n_min..1 the guided target field alone drives plain
     Euler updates.  Returns the state at t=0.
 
+    On states of at least ``_OVERLAP_MIN`` values the noise is drawn on a
+    helper thread that this call owns and joins before it returns or
+    raises; the oracle is evaluated on the calling thread only, in the
+    same order and with the same output bits either way.
+
     ``on_step`` (optional) receives a dict per step for transcripts.
     """
     x_src = np.asarray(x_src, dtype=np.float64).reshape(-1)
     _require_finite(x_src, "source state")
     ts = linear_schedule(config.steps)
     z = x_src.copy()
+    n = z.shape[0]
+    keys = [(i, k) for i in range(config.n_max, config.n_min, -1) for k in range(config.n_avg)]
+    overlap = bool(keys) and n >= _OVERLAP_MIN
 
-    for i in range(config.n_max, config.n_min, -1):
-        t = ts[i]
-        acc = np.zeros_like(z)
-        for k in range(config.n_avg):
-            eps = _noise_stream(config.rng_seed, i, k).standard_normal(z.shape[0])
-            z_src = (1 - t) * x_src + t * eps
-            z_tgt = z + z_src - x_src
-            v_tgt = _guided(oracle, z_tgt, t, tgt_condition, config.cfg_target_scale)
-            v_src = _guided(oracle, z_src, t, src_condition, config.cfg_source_scale)
-            acc += v_tgt - config.lambda_src * v_src
-        dv = acc / config.n_avg
-        z = z + (ts[i - 1] - t) * dv
-        _require_finite(z, f"edit step {i} (t={t:.6g})")
-        if on_step is not None:
-            on_step({"step": i, "t": t, "dv_norm": float(np.linalg.norm(dv)), "z_norm": float(np.linalg.norm(z))})
+    with ThreadPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as helper:
+        noise = _noise(config.rng_seed, keys, n, helper)
+        # z_src and z_tgt go to the oracle, so each draw makes them new;
+        # these four are never handed out
+        ax, acc, v_tgt, v_src = (np.empty(n) for _ in range(4))
+        for i in range(config.n_max, config.n_min, -1):
+            t = ts[i]
+            np.multiply(1 - t, x_src, out=ax)
+            acc[...] = 0.0
+            for _ in range(config.n_avg):
+                z_src = t * next(noise)
+                z_src += ax  # (1 - t) * x_src + t * eps
+                z_tgt = z + z_src
+                z_tgt -= x_src
+                _guided(oracle, z_tgt, t, tgt_condition, config.cfg_target_scale, out=v_tgt)
+                _guided(oracle, z_src, t, src_condition, config.cfg_source_scale, out=v_src)
+                v_src *= config.lambda_src
+                v_tgt -= v_src
+                acc += v_tgt
+            acc /= config.n_avg  # the step's dv
+            dv_norm = float(np.linalg.norm(acc)) if on_step is not None else None
+            acc *= ts[i - 1] - t
+            z += acc
+            _require_finite(z, f"edit step {i} (t={t:.6g})")
+            if on_step is not None:
+                on_step({"step": i, "t": t, "dv_norm": dv_norm, "z_norm": float(np.linalg.norm(z))})
 
     for i in range(config.n_min, 0, -1):
         t = ts[i]

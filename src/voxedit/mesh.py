@@ -299,10 +299,13 @@ def load_obj(path) -> TriMesh:
                 continue
             if parts[0] in ("v", "f") and len(parts) < 4:
                 raise ValueError(f"{path} line {line_no}: {parts[0]!r} needs at least 3 values, got {len(parts) - 1}")
-            if parts[0] == "v":
-                verts.append([float(p) for p in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                for k in range(1, len(idx) - 1):
-                    tris.append((idx[0], idx[k], idx[k + 1]))
+            try:
+                if parts[0] == "v":
+                    verts.append([float(p) for p in parts[1:4]])
+                elif parts[0] == "f":
+                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                    for k in range(1, len(idx) - 1):
+                        tris.append((idx[0], idx[k], idx[k + 1]))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {line_no}: {exc}") from None
     return make_mesh(verts, tris)

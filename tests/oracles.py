@@ -13,8 +13,9 @@ KD-trees, the ``np.unique`` canonicalization that ``make_sparse`` ran
 before it deduplicated by sort and compare, the Slat-Merge that
 gathered each side through a boolean row mask before it built its output
 in one gather, the key-to-coords decode that stacked int64 divmod
-results, and the dense grid and per-component split that the library no
-longer provides.  The one exception is the pipeline sample that runs its
+results, the FlowEdit loop that drew each noise sample inline and
+combined the velocities in fresh temporaries, and the dense grid and
+per-component split that the library no longer provides.  The one exception is the pipeline sample that runs its
 stages in turn: it orchestrates the package's own merges, codec and
 records, and is the reference for the order in which the concurrent
 ``run_sample`` reports them.
@@ -30,6 +31,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from voxedit.errors import DimensionMismatch, NonFiniteState
 from voxedit.merge import DEFAULT_CONNECTIVITY, Threshold, slat_merge, voxel_merge
 from voxedit.nvx import write_nvx
 from voxedit.pipeline import ManifestRecord, SampleSpec, derive_seed, record_to_line
@@ -423,6 +425,55 @@ def snis_posterior_mean(z_star, t, mu, var, n_draws, seed):
     est = float(np.sum(w * x) / np.sum(w))
     se = float(np.sqrt(np.sum(w**2 * (x - est) ** 2)) / np.sum(w))
     return est, se
+
+
+def _guided_sequential(oracle, z, t, condition, scale):
+    v_uncond = np.asarray(oracle.evaluate(z, t, condition, conditioned=False), dtype=np.float64)
+    v_cond = np.asarray(oracle.evaluate(z, t, condition, conditioned=True), dtype=np.float64)
+    if v_uncond.shape != v_cond.shape:
+        raise DimensionMismatch(f"{v_uncond.shape} vs {v_cond.shape}")
+    return v_uncond + scale * (v_cond - v_uncond)
+
+
+def _require_finite_sequential(z, where):
+    if not np.isfinite(z).all():
+        raise NonFiniteState(f"non-finite state at {where}")
+
+
+def flowedit_run_sequential(x_src, src_condition, tgt_condition, oracle, config, on_step=None):
+    """``flowedit_run`` with every noise sample drawn inline, on the calling
+    thread, and every velocity combination made in new arrays."""
+    x_src = np.asarray(x_src, dtype=np.float64).reshape(-1)
+    _require_finite_sequential(x_src, "source state")
+    ts = np.arange(config.steps + 1, dtype=np.float64) / config.steps
+    z = x_src.copy()
+
+    for i in range(config.n_max, config.n_min, -1):
+        t = ts[i]
+        acc = np.zeros_like(z)
+        for k in range(config.n_avg):
+            stream = np.random.Philox(key=config.rng_seed & (2**64 - 1), counter=[0, 0, i, k])
+            eps = np.random.Generator(stream).standard_normal(z.shape[0])
+            z_src = (1 - t) * x_src + t * eps
+            z_tgt = z + z_src - x_src
+            v_tgt = _guided_sequential(oracle, z_tgt, t, tgt_condition, config.cfg_target_scale)
+            v_src = _guided_sequential(oracle, z_src, t, src_condition, config.cfg_source_scale)
+            acc += v_tgt - config.lambda_src * v_src
+        dv = acc / config.n_avg
+        z = z + (ts[i - 1] - t) * dv
+        _require_finite_sequential(z, f"edit step {i} (t={t:.6g})")
+        if on_step is not None:
+            on_step({"step": i, "t": t, "dv_norm": float(np.linalg.norm(dv)), "z_norm": float(np.linalg.norm(z))})
+
+    for i in range(config.n_min, 0, -1):
+        t = ts[i]
+        v = _guided_sequential(oracle, z, t, tgt_condition, config.cfg_target_scale)
+        z = z + (ts[i - 1] - t) * v
+        _require_finite_sequential(z, f"plain step {i} (t={t:.6g})")
+        if on_step is not None:
+            on_step({"step": i, "t": t, "dv_norm": float(np.linalg.norm(v)), "z_norm": float(np.linalg.norm(z))})
+
+    return z
 
 
 def random_structure_coords(rng, resolution, density) -> np.ndarray:

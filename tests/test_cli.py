@@ -361,13 +361,32 @@ def test_every_flow_config_field_is_set_by_a_flag_and_by_config(tmp_path, name):
     flag = next(a.option_strings[0] for a in commands["flowedit"]._actions if a.dest == name)
     value = getattr(voxedit.FlowEditConfig(), name) + 1
     expected = dataclasses.replace(voxedit.FlowEditConfig(rng_seed=9), **{name: value})
-    argv = ["flowedit", "--oracle", "delta", "--x0", "0", "--seed", "9"]
-    assert cli_module._flow_config(parser.parse_args([*argv, flag, str(value)])) == expected
+    argv = ["flowedit", "--oracle", "delta", "--x0", "0"]
+    assert cli_module._flow_config(parser.parse_args([*argv, "--seed", "9", flag, str(value)])) == expected
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({name: value}))
-    by_config = cli_module._flow_config(parser.parse_args([*argv, "--config", str(cfg)]))
-    # --seed is required, so it always overrides a config's rng_seed
-    assert by_config == (voxedit.FlowEditConfig(rng_seed=9) if name == "rng_seed" else expected)
+    cfg.write_text(json.dumps({"rng_seed": 9, name: value}))
+    assert cli_module._flow_config(parser.parse_args([*argv, "--config", str(cfg)])) == expected
+
+
+def test_flow_seed_comes_from_the_flag_else_the_config(tmp_path, capsys):
+    seeded, unseeded = tmp_path / "seeded.json", tmp_path / "unseeded.json"
+    seeded.write_text(json.dumps({"rng_seed": 4}))
+    unseeded.write_text(json.dumps({"n_avg": 2}))
+    for command, extra in (("flowedit", ["--x0", "0.5,-1"]), ("sample", [])):
+        argv = [command, "--oracle", "gaussian", "--src-mean", "0,1", "--tgt-mean", "2,3", *extra]
+        outputs = []
+        for flags in (["--config", str(seeded)], ["--seed", "4"], ["--config", str(seeded), "--seed", "6"]):
+            code, stdout, _ = run_cli(capsys, *argv, *flags)
+            assert code == 0, (command, flags)
+            outputs.append(stdout)
+        by_config, by_flag, overridden = outputs
+        assert by_config == by_flag and overridden != by_flag, command
+        # no seed anywhere: a usage error, never a wall-clock seed
+        for flags in ([], ["--config", str(unseeded)]):
+            with pytest.raises(SystemExit) as exc:
+                dispatch([*argv, *flags])
+            assert exc.value.code == 2, (command, flags)
+            assert "a seed is required" in capsys.readouterr().err
 
 
 def test_pipeline_run_command(tmp_path, capsys):

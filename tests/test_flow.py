@@ -1,6 +1,14 @@
+import hashlib
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from voxedit import flow
 from voxedit import (
     AffineGaussianVelocityOracle,
     DeltaVelocityOracle,
@@ -13,7 +21,7 @@ from voxedit import (
     linear_schedule,
 )
 
-from oracles import snis_posterior_mean
+from oracles import flowedit_run_sequential, snis_posterior_mean
 
 
 class RecordingOracle:
@@ -358,3 +366,228 @@ def test_flowedit_rejects_nonfinite_source():
     oracle = DeltaVelocityOracle({"src": np.array([0.0]), "tgt": np.array([1.0])})
     with pytest.raises(NonFiniteState):
         flowedit_run(np.array([np.nan]), "src", "tgt", oracle, paper_config(0))
+
+
+# --- flowedit_run against the sequential reference ----------------------------------
+
+
+class CallLog:
+    """Wraps an oracle and logs every call as (t, condition, conditioned),
+    plus the thread it ran on and the live thread count."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+        self.threads = set()
+        self.thread_counts = set()
+
+    def evaluate(self, z, t, condition, conditioned=True):
+        self.calls.append((t, condition, conditioned))
+        self.threads.add(threading.get_ident())
+        self.thread_counts.add(threading.active_count())
+        return self.inner.evaluate(z, t, condition, conditioned)
+
+
+class Float32Oracle:
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, z, t, condition, conditioned=True):
+        return self.inner.evaluate(z, t, condition, conditioned).astype(np.float32)
+
+
+class BroadcastOracle:
+    """Answers one value that broadcasts over the state: shape (1,)."""
+
+    def evaluate(self, z, t, condition, conditioned=True):
+        shift = {"src": 0.5, "tgt": -1.25}[condition] + (0.0 if conditioned else 0.125)
+        return np.array([np.sum(z) * 1e-3 + shift / t])
+
+
+def make_oracle(kind, n, rng):
+    if kind == "broadcast":
+        return BroadcastOracle()
+    if kind == "delta":
+        return DeltaVelocityOracle({"src": rng.standard_normal(n), "tgt": rng.standard_normal(n)})
+    gaussian = AffineGaussianVelocityOracle({"src": rng.standard_normal(n), "tgt": rng.standard_normal(n)},
+                                            {"src": 0.5 + rng.random(), "tgt": 0.5 + rng.random()})
+    return Float32Oracle(gaussian) if kind == "float32" else gaussian
+
+
+def run_logged(run, x_src, oracle, cfg):
+    log, rows = CallLog(oracle), []
+    out = run(x_src, "src", "tgt", log, cfg, on_step=rows.append)
+    return out, rows, log.calls
+
+
+@st.composite
+def flowedit_cases(draw):
+    steps = draw(st.integers(1, 8))
+    n_max = draw(st.integers(0, steps))
+    n_min = draw(st.integers(0, n_max))
+    scale = st.floats(-2.0, 6.0)
+    cfg = FlowEditConfig(steps=steps, n_max=n_max, n_min=n_min, n_avg=draw(st.integers(1, 3)),
+                         cfg_source_scale=draw(scale), cfg_target_scale=draw(scale),
+                         lambda_src=draw(st.sampled_from([1.0, 0.0, 0.75, -1.5])),
+                         rng_seed=draw(st.integers(0, 2**63)))
+    n = draw(st.sampled_from([0, 1, 3, 1 << 14]))
+    kind = draw(st.sampled_from(["delta", "gaussian", "float32", "broadcast"]))
+    return cfg, n, kind, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(flowedit_cases(), st.booleans())
+def test_flowedit_bits_transcript_and_calls_equal_the_sequential_reference(case, always_overlap):
+    # always_overlap sends every size, 0 included, through the helper thread
+    cfg, n, kind, seed = case
+    rng = np.random.default_rng(seed)
+    oracle = make_oracle(kind, n, rng)
+    x_src = rng.standard_normal(n)
+    expected = run_logged(flowedit_run_sequential, x_src, oracle, cfg)
+    with mock.patch.object(flow, "_OVERLAP_MIN", 0 if always_overlap else flow._OVERLAP_MIN):
+        out, rows, calls = run_logged(flowedit_run, x_src, oracle, cfg)
+    assert np.array_equal(out.view(np.uint64), expected[0].view(np.uint64))
+    assert rows == expected[1]
+    assert calls == expected[2]
+
+
+def test_flowedit_variants_equal_the_sequential_reference():
+    # named corners of the property above: no draws, one draw per step, both paths
+    rng = np.random.default_rng(45)
+    for n in (0, 1, 3, 1 << 14):
+        oracle = make_oracle("gaussian", n, rng)
+        x_src = rng.standard_normal(n)
+        for fields in ({"n_min": 15}, {"n_avg": 1}, {"n_min": 4, "lambda_src": 0.5}, {"rng_seed": 2**63}):
+            cfg = paper_config(3, steps=16, n_max=15, **{"n_avg": 2} | fields)
+            out, rows, calls = run_logged(flowedit_run, x_src, oracle, cfg)
+            ref, ref_rows, ref_calls = run_logged(flowedit_run_sequential, x_src, oracle, cfg)
+            assert out.tobytes() == ref.tobytes(), (n, fields)
+            assert (rows, calls) == (ref_rows, ref_calls), (n, fields)
+
+
+def test_flowedit_output_digests_are_pinned():
+    # the bytes flowedit_run gave when each draw was made inline
+    rng = np.random.default_rng(5)
+    oracle = AffineGaussianVelocityOracle({"src": rng.standard_normal(3), "tgt": rng.standard_normal(3)},
+                                          {"src": 0.5, "tgt": 2.0})
+    cfg = FlowEditConfig(steps=25, n_max=15, n_min=3, n_avg=5, lambda_src=0.75, rng_seed=2**63 - 5)
+    small = flowedit_run(rng.standard_normal(3), "src", "tgt", oracle, cfg)
+    assert hashlib.sha256(small.tobytes()).hexdigest() == \
+        "e3cba0e7fa89505c57f219bf71ea2fbcc63016129360fc3132dd5d76be86b143"
+
+    rng = np.random.default_rng(6)
+    n = 1 << 14
+    oracle = AffineGaussianVelocityOracle({"src": rng.standard_normal(n), "tgt": rng.standard_normal(n)},
+                                          {"src": 1.5, "tgt": 0.5})
+    cfg = FlowEditConfig(steps=12, n_max=8, n_min=2, n_avg=3, rng_seed=7)
+    large = flowedit_run(rng.standard_normal(n), "src", "tgt", oracle, cfg)
+    assert hashlib.sha256(large.tobytes()).hexdigest() == \
+        "6318052b64567d9fd8456c1e018db092edb3f4b1e1d758b492ffb748e4ad818f"
+
+
+# --- flowedit_run's helper thread and the oracle contract ----------------------------
+
+
+def small_and_large_runs():
+    rng = np.random.default_rng(46)
+    for n in (3, flow._OVERLAP_MIN):
+        yield n, DeltaVelocityOracle({"src": rng.standard_normal(n), "tgt": rng.standard_normal(n)}), \
+            rng.standard_normal(n)
+
+
+def test_flowedit_evaluates_on_the_calling_thread_and_joins_its_helper():
+    before = threading.active_count()
+    for n, inner, x_src in small_and_large_runs():
+        oracle = CallLog(inner)
+        flowedit_run(x_src, "src", "tgt", oracle, paper_config(1, steps=6, n_max=6, n_avg=2))
+        assert oracle.threads == {threading.get_ident()}, n
+        # one helper while drawing above the threshold; no thread at all below it
+        assert oracle.thread_counts == ({before + 1} if n >= flow._OVERLAP_MIN else {before}), n
+        assert threading.active_count() == before, n
+
+
+def test_flowedit_joins_its_helper_when_it_raises():
+    class Failing:
+        def __init__(self, inner, fail_at, nan):
+            self.inner, self.fail_at, self.nan, self.calls = inner, fail_at, nan, 0
+
+        def evaluate(self, z, t, condition, conditioned=True):
+            self.calls += 1
+            v = self.inner.evaluate(z, t, condition, conditioned)
+            if self.calls < self.fail_at:
+                return v
+            if self.nan:
+                return np.full_like(v, np.nan)
+            raise RuntimeError(f"oracle failed at call {self.calls}")
+
+    before = threading.active_count()
+    cfg = paper_config(2, steps=6, n_max=4, n_min=1, n_avg=3)
+    for n, inner, x_src in small_and_large_runs():
+        for fail_at in (1, 5, 22):  # the first draw, a later draw, the last step's
+            with pytest.raises(RuntimeError, match=f"call {fail_at}$"):
+                flowedit_run(x_src, "src", "tgt", Failing(inner, fail_at, nan=False), cfg)
+            assert threading.active_count() == before, (n, fail_at)
+            with pytest.raises(NonFiniteState):
+                flowedit_run(x_src, "src", "tgt", Failing(inner, fail_at, nan=True), cfg)
+            assert threading.active_count() == before, (n, fail_at)
+
+
+def test_concurrent_flowedit_runs_keep_the_reference_bits():
+    # three calls at once, each with its own helper: six threads on two
+    # CPUs and a short switch interval; a buffer written while it is
+    # read would change the bits
+    rng = np.random.default_rng(48)
+    n = flow._OVERLAP_MIN
+    oracle = make_oracle("gaussian", n, rng)
+    cfg = paper_config(5, steps=8, n_max=6, n_avg=3)
+    xs = [rng.standard_normal(n) for _ in range(3)]
+    expected = [flowedit_run_sequential(x, "src", "tgt", oracle, cfg).tobytes() for x in xs]
+    results = [None] * len(xs)
+
+    def work(j):
+        results[j] = flowedit_run(xs[j], "src", "tgt", oracle, cfg).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(len(xs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+
+
+def test_flowedit_never_writes_what_the_oracle_keeps_or_returns():
+    class Keeping:
+        def __init__(self, n):
+            self.cache = np.linspace(-1.0, 1.0, n)
+            self.cache_copy = self.cache.copy()
+            self.kept = []
+
+        def evaluate(self, z, t, condition, conditioned=True):
+            self.kept.append((z, z.copy()))
+            return self.cache
+
+    for n, _, x_src in small_and_large_runs():
+        oracle = Keeping(n)
+        x_copy = x_src.copy()
+        flowedit_run(x_src, "src", "tgt", oracle, paper_config(4, steps=5, n_max=3, n_min=1, n_avg=2))
+        assert len(oracle.kept) == 2 * 2 * 4 + 1 * 2  # edit steps x draws x calls, plain steps x calls
+        assert all(np.array_equal(z, copy) for z, copy in oracle.kept), n
+        assert np.array_equal(oracle.cache, oracle.cache_copy), n
+        assert np.array_equal(x_src, x_copy), n
+
+
+def test_oracles_divide_their_difference_with_the_bits_of_the_formula():
+    rng = np.random.default_rng(47)
+    a, m, z = rng.standard_normal((3, 257))
+    for t in (1.0, 0.6, 1 / 3, 1e-3):
+        delta = DeltaVelocityOracle({"c": a}).evaluate(z, t, "c")
+        assert delta.tobytes() == ((z - a) / t).tobytes()
+        gaussian = AffineGaussianVelocityOracle({"c": m}, {"c": 0.7})
+        expected = (z - gaussian.posterior_mean(z, t, "c")) / t
+        assert gaussian.evaluate(z, t, "c").tobytes() == expected.tobytes()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -416,6 +417,17 @@ def test_obj_short_records_rejected(tmp_path, text, line):
     path = tmp_path / "short.obj"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"line {line}:"):
+        load_obj(path)
+
+
+@pytest.mark.parametrize("text, line, bad", [("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", 4, "'x'"),
+                                             ("v 0 0 0\n\nv 1 zero 0\n", 3, "'zero'"),
+                                             ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1 2.0/2 3\n", 4, "'2.0'")],
+                         ids=["face-letter", "vertex-word", "face-float"])
+def test_obj_bad_numbers_name_their_file_and_line(tmp_path, text, line, bad):
+    path = tmp_path / "bad.obj"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {line}: .*{bad}"):
         load_obj(path)
 
 
