@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True, help="input OBJ path")
     p.add_argument("--resolution", type=int, default=64, help="grid resolution per axis")
     p.add_argument("--bounds", type=float, nargs=6, metavar=("X0", "Y0", "Z0", "X1", "Y1", "Z1"),
-                   help="explicit bounds; default is the mesh AABB plus a margin")
+                   help="explicit bounds; default is the AABB of the vertices the triangles use, plus a margin")
     p.add_argument("--out", required=True, help="output NVX path")
     p.set_defaults(func=cmd_voxelize)
 

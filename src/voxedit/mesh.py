@@ -17,6 +17,9 @@ face-normal slab test, widened by one cell on each side for rounding.
 That makes O(R^2) candidates per triangle, where the box of a triangle
 spanning the grid holds O(R^3) cells.  Pruning drops only cells the SAT's
 face-normal axis rejects, so the result equals the SAT over the whole box.
+Triangles are taken in three groups by that dominant axis, so within a
+group a pair's cell is a fixed permutation of (column u, column v, depth),
+and each column's depth range is expanded into pairs by ``np.repeat``.
 Columns and (triangle, cell) pairs are both taken in chunks of a fixed
 size, so memory stays bounded even for one triangle that spans the grid.
 Where the arithmetic is exact (unit bounds, a power-of-two R, vertices on
@@ -25,9 +28,15 @@ multiples of half a cell) the result equals the scalar brute force in
 fall either way, by rounding.
 
 Surface export finds every exposed face in one pass over the six face
-directions, and ``save_obj`` writes the same bytes as one ``%.9g`` / ``%d``
-record per line, in batches of lines, formatting integral vertices (all
-surface-mesh corners) with ``%d``.
+directions.  Each face's four corners get integer keys, a per-voxel base
+key plus a per-direction offset; one sort of the keys groups equal
+corners, and the smallest position in each group is the corner's first
+use, which numbers the vertices.  ``save_obj`` writes the same bytes as
+one ``%.9g`` / ``%d`` record per line, in batches of lines, formatting
+integral vertices (all surface-mesh corners) with ``%d``.  Face records
+are assembled from a table, built per call, holding the digits of every
+index 1..V at the width of V: a batch gathers three fixed-width fields
+per line and drops the padding with one boolean mask.
 """
 from __future__ import annotations
 
@@ -47,8 +56,15 @@ class TriMesh:
     triangles: np.ndarray = field(repr=False)  # (T, 3) int64 indices into vertices
 
     def __post_init__(self):
-        self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
+        v, t = self.vertices, self.triangles
+        if v.ndim != 2 or v.shape[1] != 3:
+            raise ValueError(f"vertices must have shape (V, 3), got {v.shape}")
+        if t.ndim != 2 or t.shape[1] != 3 or not np.issubdtype(t.dtype, np.integer):
+            raise ValueError(f"triangles must be integer indices of shape (T, 3), got {t.dtype} {t.shape}")
+        if t.size and (t.min() < 0 or t.max() >= len(v)):
+            raise ValueError("triangle index out of range")
+        v.setflags(write=False)
+        t.setflags(write=False)
 
     @property
     def num_vertices(self) -> int:
@@ -67,21 +83,8 @@ class TriMesh:
 
 
 def make_mesh(vertices, triangles) -> TriMesh:
-    v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    if t.size and (t.min() < 0 or t.max() >= len(v)):
-        raise ValueError("triangle index out of range")
-    return TriMesh(vertices=v, triangles=t)
-
-
-def default_bounds(mesh: TriMesh):
-    """Mesh AABB expanded by ``BOUNDS_MARGIN`` per side, so boundary
-    triangles land in cells deterministically."""
-    if mesh.num_vertices == 0:
-        raise EmptyBounds("mesh has no vertices")
-    lo = mesh.vertices.min(axis=0) - BOUNDS_MARGIN
-    hi = mesh.vertices.max(axis=0) + BOUNDS_MARGIN
-    return lo, hi
+    return TriMesh(vertices=np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
+                   triangles=np.asarray(triangles, dtype=np.int64).reshape(-1, 3))
 
 
 # (triangle, candidate cell) pairs tested per SAT batch, and columns
@@ -110,8 +113,8 @@ def _sat_axes(tri: np.ndarray) -> np.ndarray:
 
 def _candidate_pairs(tri, lo, cell, resolution, normal, slab_lo, slab_hi):
     """The (triangle, cell) pairs worth a SAT, as ``(t, ix, iy, iz)`` int64
-    batches of at most ``_SAT_CHUNK`` pairs, ordered by triangle, column,
-    depth.
+    batches of at most ``_SAT_CHUNK`` pairs; within the triangles of one
+    dominant axis, ordered by triangle, column, depth.
 
     A triangle's candidate box holds every cell whose closed box can touch
     its AABB.  Its columns run along the dominant axis ``w`` of its face
@@ -142,36 +145,46 @@ def _candidate_pairs(tri, lo, cell, resolution, normal, slab_lo, slab_hi):
     gu = np.where(prune, step[rows, u], 0.0) / sw
     gv = np.where(prune, step[rows, v], 0.0) / sw
 
-    bu, bv, bw = tmin[rows, u], tmin[rows, v], tmin[rows, w]
-    ew = tmax[rows, w]
-    dv = tmax[rows, v] - bv + 1
-    offsets = np.concatenate([[0], np.cumsum((tmax[rows, u] - bu + 1) * dv)])
-    for start in range(0, int(offsets[-1]), _SAT_CHUNK):
-        col = np.arange(start, min(start + _SAT_CHUNK, int(offsets[-1])), dtype=np.int64)
-        t = np.searchsorted(offsets, col, side="right") - 1
-        iu, iv = np.divmod(col - offsets[t], dv[t])
-        iu += bu[t]
-        iv += bv[t]
-        g = gu[t] * iu + gv[t] * iv
-        # widen by one cell each side; fmax/fmin take the box's end for a NaN
-        first = np.fmin(np.fmax(np.ceil(x0[t] - g) - 1, bw[t]), ew[t] + 1).astype(np.int64)
-        last = np.fmax(np.fmin(np.floor(x1[t] - g) + 1, ew[t]), bw[t] - 1).astype(np.int64)
-        depth = np.maximum(last - first + 1, 0)
-        ends = np.cumsum(depth)
-        first -= ends - depth  # w-index = first[c] + pair number
-        tw = w[t]
-        del col, g, last, depth  # keep only what the pairs read
-        for pstart in range(0, int(ends[-1]), _SAT_CHUNK):
-            pair = np.arange(pstart, min(pstart + _SAT_CHUNK, int(ends[-1])), dtype=np.int64)
-            c = np.searchsorted(ends, pair, side="right")
-            local = np.stack([iu[c], iv[c], first[c] + pair], axis=1)
-            ijk = np.take_along_axis(local, (np.arange(3) - tw[c, None] - 1) % 3, axis=1)
-            yield t[c], ijk[:, 0], ijk[:, 1], ijk[:, 2]
+    for axis in range(3):
+        sel = np.flatnonzero(w == axis)
+        au, av = (axis + 1) % 3, (axis + 2) % 3
+        bu, bv, bw, ew = tmin[sel, au], tmin[sel, av], tmin[sel, axis], tmax[sel, axis]
+        dv = tmax[sel, av] - bv + 1
+        offsets = np.concatenate([[0], np.cumsum((tmax[sel, au] - bu + 1) * dv)])
+        g_x0, g_x1, g_gu, g_gv = x0[sel], x1[sel], gu[sel], gv[sel]
+        for start in range(0, int(offsets[-1]), _SAT_CHUNK):
+            col = np.arange(start, min(start + _SAT_CHUNK, int(offsets[-1])), dtype=np.int64)
+            t = np.searchsorted(offsets, col, side="right") - 1
+            iu, iv = np.divmod(col - offsets[t], dv[t])
+            iu += bu[t]
+            iv += bv[t]
+            g = g_gu[t] * iu + g_gv[t] * iv
+            # widen by one cell each side; fmax/fmin take the box's end for a NaN
+            first = np.fmin(np.fmax(np.ceil(g_x0[t] - g) - 1, bw[t]), ew[t] + 1).astype(np.int64)
+            last = np.fmax(np.fmin(np.floor(g_x1[t] - g) + 1, ew[t]), bw[t] - 1).astype(np.int64)
+            depth = np.maximum(last - first + 1, 0)
+            ends = np.cumsum(depth)
+            first -= ends - depth  # w-index = first[c] + pair number
+            t = sel[t]
+            del col, g, last, depth  # keep only what the pairs read
+            for pstart in range(0, int(ends[-1]), _SAT_CHUNK):
+                pend = min(pstart + _SAT_CHUNK, int(ends[-1]))
+                # the columns holding pairs pstart..pend-1, and how many each
+                c = slice(np.searchsorted(ends, pstart, side="right"),
+                          np.searchsorted(ends, pend - 1, side="right") + 1)
+                count = np.diff(np.minimum(ends[c], pend), prepend=pstart)
+                ijk = [None] * 3
+                ijk[au] = np.repeat(iu[c], count)
+                ijk[av] = np.repeat(iv[c], count)
+                ijk[axis] = np.repeat(first[c], count) + np.arange(pstart, pend, dtype=np.int64)
+                yield (np.repeat(t[c], count), *ijk)
 
 
 def voxelize_mesh(mesh: TriMesh, resolution: int, bounds=None) -> SparseStructure:
     """Conservative surface voxelization onto the uniform R^3 partition of
-    ``bounds`` (defaults to the mesh AABB plus a small margin).
+    ``bounds``.  The default is the AABB of the vertices that triangles use,
+    expanded by ``BOUNDS_MARGIN`` per side so that boundary triangles land
+    in cells deterministically; a vertex no triangle uses never counts.
 
     Raises ``NonFiniteGeometry`` for a NaN or infinite bound, or a NaN or
     infinite vertex that a triangle uses."""
@@ -185,7 +198,7 @@ def voxelize_mesh(mesh: TriMesh, resolution: int, bounds=None) -> SparseStructur
         raise NonFiniteGeometry(f"triangle {t} uses vertex {mesh.triangles[t, k]} = "
                                 f"{tri[t, k].tolist()}, which is not finite")
     if bounds is None:
-        bounds = default_bounds(mesh)
+        bounds = tri.min(axis=(0, 1)) - BOUNDS_MARGIN, tri.max(axis=(0, 1)) + BOUNDS_MARGIN
     lo = np.asarray(bounds[0], dtype=np.float64)
     hi = np.asarray(bounds[1], dtype=np.float64)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -240,12 +253,11 @@ def _exposed_faces(s: SparseStructure) -> np.ndarray:
     """``(N, 6)`` mask, in ``_FACES`` order: is the face-adjacent neighbour
     of each occupied cell empty or outside the grid."""
     r = s.resolution
-    coords = s.coords.astype(np.int64)
     lin = s.key
     exposed = np.empty((len(lin), len(_FACE_DIRS)), dtype=bool)
     for f, step in enumerate(_FACE_DIRS):
-        n = coords + step
-        inside = ((n >= 0) & (n < r)).all(axis=1)
+        axis = int(np.flatnonzero(step)[0])
+        inside = s.coords[:, axis] < r - 1 if step[axis] > 0 else s.coords[:, axis] > 0
         occupied, _ = membership(lin, lin + int(step[0] * r * r + step[1] * r + step[2]))
         exposed[:, f] = ~(inside & occupied)
     return exposed
@@ -258,17 +270,45 @@ def extract_surface_mesh(s: SparseStructure) -> TriMesh:
     Faces come voxel by voxel in linear-index order, and within a voxel in
     ``_FACES`` order; vertices are numbered by their first use."""
     voxel, face = np.nonzero(_exposed_faces(s))
-    corners = (s.coords.astype(np.int64)[voxel, None, :] + _FACE_QUADS[face]).reshape(-1, 3)
     side = s.resolution + 1
-    key = (corners[:, 0] * side + corners[:, 1]) * side + corners[:, 2]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    quad = rank[inverse.reshape(-1)].reshape(-1, 4)
+    c = s.coords.astype(np.int64)
+    base = (c[:, 0] * side + c[:, 1]) * side + c[:, 2]   # key of each voxel's (0, 0, 0) corner
+    offset = _FACE_QUADS @ np.array([side * side, side, 1])  # (6, 4) corner key offsets
+    key = (base[voxel, None] + offset[face]).reshape(-1)
+    order = np.argsort(key)
+    ordered = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    # equal keys sit together in ``order``, in no particular order among
+    # themselves; the smallest position in each run is the corner's first use
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    is_first = np.zeros(len(key), dtype=bool)
+    is_first[first] = True
+    number = np.cumsum(is_first) - 1  # vertex number at each first use
+    vid = np.empty(len(key), dtype=np.int64)
+    vid[order] = number[first][np.cumsum(new) - 1]
 
-    vertices = corners[np.sort(first)].astype(np.float64).reshape(-1, 3)
-    triangles = np.stack([quad[:, [0, 1, 2]], quad[:, [0, 2, 3]]], axis=1).reshape(-1, 3)
-    return TriMesh(vertices=vertices, triangles=triangles)
+    corner = key[is_first]
+    vertices = np.stack([corner // (side * side), corner // side % side, corner % side], axis=1)
+    triangles = vid.reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    return TriMesh(vertices=vertices.astype(np.float64), triangles=triangles)
+
+
+def _index_fields(n: int) -> np.ndarray:
+    """``(n, 1 + digits of n)`` uint8: row i is a space and the decimal
+    digits of i + 1, right-aligned, with zero bytes as padding."""
+    width = len(str(n))
+    fields = np.empty((n, 1 + width), dtype=np.uint8)
+    fields[:, 0] = ord(" ")
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for j in range(width):
+        # the digit of place 10^j runs 0..9, each held for 10^j numbers
+        place = 10 ** j
+        column = np.resize(np.repeat(digits, place), n + 1)[1:]  # numbers 1..n
+        column[:place - 1] = 0  # numbers below 10^j have no such digit
+        fields[:, width - j] = column
+    return fields
 
 
 def save_obj(mesh: TriMesh, path) -> None:
@@ -278,18 +318,31 @@ def save_obj(mesh: TriMesh, path) -> None:
     # (1e9 itself is "1e+09"), except -0.0, and is several times faster;
     # surface-mesh corners always qualify
     if (np.abs(v) < 1e9).all() and (v == np.trunc(v)).all() and not np.signbit(v[v == 0]).any():
-        vertices = (v.astype(np.int64), "v %d %d %d\n")
+        v, record = v.astype(np.int64), b"v %d %d %d\n"
     else:
-        vertices = (v, "v %.9g %.9g %.9g\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        for rows, record in (vertices, (mesh.triangles + 1, "f %d %d %d\n")):
-            for i in range(0, len(rows), _OBJ_BATCH):
-                batch = rows[i:i + _OBJ_BATCH]
-                fh.write(record * len(batch) % tuple(batch.ravel().tolist()))
+        record = b"v %.9g %.9g %.9g\n"
+    tri = mesh.triangles
+    with open(path, "wb") as fh:
+        for i in range(0, len(v), _OBJ_BATCH):
+            batch = v[i:i + _OBJ_BATCH]
+            fh.write(record * len(batch) % tuple(batch.ravel().tolist()))
+        # every index is in [0, V), which TriMesh checks, so each has a row
+        fields = _index_fields(mesh.num_vertices)
+        for i in range(0, len(tri), _OBJ_BATCH):
+            batch = tri[i:i + _OBJ_BATCH]
+            line = np.empty((len(batch), 2 + 3 * fields.shape[1]), dtype=np.uint8)
+            line[:, 0] = ord("f")
+            line[:, 1:-1] = fields[batch].reshape(len(batch), -1)
+            line[:, -1] = ord("\n")
+            fh.write(line[line != 0].tobytes())
 
 
 def load_obj(path) -> TriMesh:
-    """Minimal OBJ reader: v and f records, fan-triangulating polygons."""
+    """Minimal OBJ reader: v and f records, fan-triangulating polygons.
+
+    A face index is 1-based, or negative to count back from the last vertex
+    read so far (-1 is that vertex); either way it must name a vertex read
+    above the face."""
     verts: list[list[float]] = []
     tris: list[tuple[int, int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -304,6 +357,13 @@ def load_obj(path) -> TriMesh:
                     verts.append([float(p) for p in parts[1:4]])
                 elif parts[0] == "f":
                     idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                    n = len(verts)
+                    if min(idx) < 0 or max(idx) >= n:
+                        # a negative index counts back from the last vertex read: -1 is vertex n - 1
+                        idx = [i if i >= 0 else n + i + 1 for i in idx]
+                        bad = [p for p, i in zip(parts[1:], idx) if not 0 <= i < n]
+                        if bad:
+                            raise ValueError(f"face index {bad[0].split('/')[0]} names no vertex; {n} read so far")
                     for k in range(1, len(idx) - 1):
                         tris.append((idx[0], idx[k], idx[k + 1]))
             except ValueError as exc:

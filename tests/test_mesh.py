@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxedit import extract_surface_mesh, load_obj, make_mesh, make_sparse, save_obj, voxelize_mesh
+from voxedit import TriMesh, extract_surface_mesh, load_obj, make_mesh, make_sparse, save_obj, voxelize_mesh
 from voxedit import mesh as mesh_module
 from voxedit.errors import EmptyBounds, NonFiniteGeometry
 
@@ -35,6 +35,26 @@ def unit_cube_mesh():
         (1, 2, 6), (1, 6, 5),  # x = 1
     ]
     return make_mesh(v, f)
+
+
+@pytest.mark.parametrize("vertices, triangles, match", [
+    (np.zeros((3, 3)), [[0, 1, -1]], "out of range"),
+    (np.zeros((3, 3)), [[0, 1, 5]], "out of range"),
+    (np.zeros((0, 3)), [[0, 0, 0]], "out of range"),
+    (np.zeros((3, 2)), np.zeros((0, 3), dtype=np.int64), "vertices"),
+    (np.zeros(9), np.zeros((0, 3), dtype=np.int64), "vertices"),
+    (np.zeros((3, 3)), [[0, 1]], "triangles"),
+    (np.zeros((3, 3)), [[0.0, 1.0, 2.0]], "triangles"),
+], ids=["negative", "past-the-end", "no-vertices", "two-columns", "flat-vertices", "two-indices",
+        "float-indices"])
+def test_trimesh_rejects_bad_shapes_and_indices(vertices, triangles, match):
+    # a directly built mesh is checked like make_mesh's, so voxelize_mesh
+    # never wraps a negative index and save_obj never names a missing vertex
+    with pytest.raises(ValueError, match=match):
+        TriMesh(vertices=np.asarray(vertices, dtype=np.float64), triangles=np.asarray(triangles))
+    if match == "out of range":
+        with pytest.raises(ValueError, match=match):
+            make_mesh(vertices, triangles)
 
 
 def test_empty_mesh_voxelizes_empty():
@@ -166,6 +186,47 @@ def test_voxelize_candidate_pairs_grow_like_r_squared(monkeypatch):
     assert all(3.5 < b / a < 4.5 for a, b in zip(pairs, pairs[1:])), pairs
 
 
+# a segment along x (zero normal, so no column is pruned) whose columns run
+# 2048 cells deep at R = 2048, beside generic and grid-spanning triangles
+BATCH_CASES = [
+    ([[0.001, 0.3, 0.6], [0.999, 0.3, 0.6], [0.5, 0.3, 0.6]], [(0, 1, 2)], 2048),
+    (SPANNING, [(0, 1, 2)], 24),
+    (np.random.default_rng(22).uniform(0, 1, (12, 3)), np.arange(12).reshape(4, 3), 16),
+]
+
+
+def all_pairs(verts, tris, resolution):
+    """Every batch ``_candidate_pairs`` yields for ``voxelize_mesh``'s call."""
+    batches = []
+    candidate_pairs = mesh_module._candidate_pairs
+
+    def recording(*args):
+        for batch in candidate_pairs(*args):
+            batches.append(batch)
+            yield batch
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_candidate_pairs", recording)
+        voxelize_mesh(make_mesh(verts, tris), resolution, ((0, 0, 0), (1, 1, 1)))
+    return batches
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 1000])
+@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+def test_candidate_pair_batches_are_bounded_by_the_chunk(monkeypatch, chunk, case):
+    verts, tris, resolution = BATCH_CASES[case]
+    whole = np.stack([np.concatenate(a) for a in zip(*all_pairs(verts, tris, resolution))], axis=1)
+    monkeypatch.setattr(mesh_module, "_SAT_CHUNK", chunk)
+    batches = all_pairs(verts, tris, resolution)
+    assert all(0 < len(b[0]) <= chunk and {len(a) for a in b} == {len(b[0])} for b in batches)
+    if case == 0:  # one column along x, deeper than every chunk
+        assert len(np.unique(whole[:, [0, 2, 3]], axis=0)) == 1 and len(whole) > chunk
+    # the same pairs, each once, whatever the chunk
+    pairs = np.stack([np.concatenate(a) for a in zip(*batches)], axis=1)
+    assert len(np.unique(pairs, axis=0)) == len(pairs)
+    assert np.array_equal(np.unique(pairs, axis=0), np.unique(whole, axis=0))
+
+
 @st.composite
 def triangle_soups(draw):
     """Up to four triangles with non-cubic bounds, offset and scaled by up
@@ -262,6 +323,20 @@ def test_default_bounds_cover_mesh():
     assert s.voxel_sum > 0
 
 
+@pytest.mark.parametrize("stray", [np.nan, np.inf, 100.0, -1e300])
+def test_default_bounds_ignore_unused_vertices(stray):
+    # a vertex that no triangle uses neither fails the finiteness check
+    # nor stretches the grid
+    verts = np.array([[0.1, 0.1, 0.1], [0.9, 0.2, 0.3], [0.4, 0.8, 0.6], [0.5, 0.5, 0.5]])
+    tris = [(0, 1, 2), (1, 2, 3)]
+    expected = voxelize_mesh(make_mesh(verts, tris), 16)
+    assert expected.voxel_sum > 0
+    for where in (0, 1, 2):
+        with_stray = np.concatenate([verts, [[0.5, 0.5, 0.5]]])
+        with_stray[4, where] = stray
+        assert voxelize_mesh(make_mesh(with_stray, tris), 16) == expected
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_rejected(bad):
     verts = np.array([[0.1, 0.1, 0.1], [0.9, 0.2, 0.3], [0.4, 0.8, 0.6], [0.5, 0.5, 0.5]])
@@ -356,15 +431,40 @@ def surface_cases():
     return cases
 
 
+def assert_surface_equals_loop(s):
+    mesh = extract_surface_mesh(s)
+    verts, tris = surface_mesh_loop(s.coords, s.resolution)
+    assert mesh.vertices.dtype == verts.dtype and mesh.triangles.dtype == tris.dtype
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.triangles, tris)
+    assert mesh.num_triangles == 2 * dense_exposed_face_count(s)
+
+
 def test_surface_equals_loop_reference():
     # includes voxels on every grid face, the full grid and the empty set
     for s in surface_cases():
-        mesh = extract_surface_mesh(s)
-        verts, tris = surface_mesh_loop(s.coords, s.resolution)
-        assert mesh.vertices.dtype == verts.dtype and mesh.triangles.dtype == tris.dtype
-        assert np.array_equal(mesh.vertices, verts)
-        assert np.array_equal(mesh.triangles, tris)
-        assert mesh.num_triangles == 2 * dense_exposed_face_count(s)
+        assert_surface_equals_loop(s)
+
+
+@st.composite
+def drawn_structures(draw):
+    """A random structure at R 2-17, from empty to full; one in four is a
+    slab of whole layers, so voxels sit on every grid face."""
+    resolution = draw(st.integers(2, 17))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 3)) == 0:
+        lo, hi = sorted(draw(st.lists(st.integers(0, resolution), min_size=2, max_size=2)))
+        r = range(resolution)
+        return make_sparse([(x, y, z) for x in range(lo, hi) for y in r for z in r], resolution)
+    density = draw(st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.6, 0.9, 1.0]))
+    coords = random_structure_coords(rng, resolution, density) if density else []
+    return make_sparse(coords, resolution)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=drawn_structures())
+def test_surface_equals_loop_reference_on_drawn_structures(s):
+    assert_surface_equals_loop(s)
 
 
 # --- OBJ io --------------------------------------------------------------
@@ -390,12 +490,29 @@ def test_save_obj_bytes_equal_loop_reference(tmp_path, monkeypatch, batch):
     for n in (1, 4, 5000):
         verts = np.concatenate([odd, rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-15, 15, (n, 1))])
         meshes.append(make_mesh(verts, rng.integers(0, len(verts), size=(n, 3))))
+    # face indices are as wide as the digits of V: the last vertex and its
+    # neighbours name every width up to it
+    for n in (1, 9, 10, 11, 99, 100, 101, 1000):
+        last = n - 1
+        tris = np.concatenate([[[0, last, last // 2], [last, last, 0], [max(last - 1, 0), 0, last]],
+                               rng.integers(0, n, size=(40, 3))])
+        meshes.append(make_mesh(rng.integers(-5, 5, size=(n, 3)), tris))
     for i, mesh in enumerate(meshes):
         save_obj(mesh, tmp_path / "new.obj")
         save_obj_loop(mesh.vertices, mesh.triangles, tmp_path / "old.obj")
         assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes(), i
 
 
+def test_save_obj_face_table_has_no_size_limit(tmp_path):
+    # 10^6 + 1 vertices: seven-digit indices, the last one a new width
+    n = 10**6 + 1
+    mesh = TriMesh(vertices=np.zeros((n, 3)), triangles=np.array([[n - 1, 0, n // 2], [n - 2, n - 1, 9],
+                                                                  [99999, 100000, 999999]]))
+    save_obj(mesh, tmp_path / "big.obj")
+    text = (tmp_path / "big.obj").read_bytes()
+    assert text.count(b"v 0 0 0\n") == n
+    faces = text[text.index(b"f "):]
+    assert faces == b"f 1000001 1 500001\nf 1000000 1000001 10\nf 100000 100001 1000000\n"
 
 
 def test_obj_round_trip(tmp_path):
@@ -422,13 +539,24 @@ def test_obj_short_records_rejected(tmp_path, text, line):
 
 @pytest.mark.parametrize("text, line, bad", [("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", 4, "'x'"),
                                              ("v 0 0 0\n\nv 1 zero 0\n", 3, "'zero'"),
-                                             ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1 2.0/2 3\n", 4, "'2.0'")],
-                         ids=["face-letter", "vertex-word", "face-float"])
+                                             ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1 2.0/2 3\n", 4, "'2.0'"),
+                                             ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 0\n", 4, "index 0 "),
+                                             ("v 0 0 0\nv 1 0 0\nv 0 1 0\n\nf 1 4 2\n", 5, "index 4 "),
+                                             ("v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\n", 3, "index 3 "),
+                                             ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -1 -2 -4\n", 4, "index -4 ")],
+                         ids=["face-letter", "vertex-word", "face-float", "face-zero", "face-past-end",
+                              "face-before-its-vertex", "face-before-first"])
 def test_obj_bad_numbers_name_their_file_and_line(tmp_path, text, line, bad):
     path = tmp_path / "bad.obj"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {line}: .*{bad}"):
         load_obj(path)
+
+
+def test_obj_negative_indices_count_back_from_the_last_vertex_read(tmp_path):
+    path = tmp_path / "relative.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 0 0 1\nf 1 -1/4 -3\nf -4 -2 -1 2\n")
+    assert load_obj(path).triangles.tolist() == [[0, 1, 2], [0, 3, 1], [0, 2, 3], [0, 3, 1]]
 
 
 def test_obj_quad_fan_triangulation(tmp_path):
