@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,33 @@ def _read_latent(path) -> StructuredLatent:
     if not isinstance(payload, StructuredLatent):
         raise VoxeditError(f"{path} holds an occupancy payload, expected latent")
     return payload
+
+
+def _call(fn) -> Future:
+    """A finished future holding ``fn()``'s result or its exception."""
+    done = Future()
+    try:
+        done.set_result(fn())
+    except Exception as exc:  # noqa: BLE001 - reraised by result()
+        done.set_exception(exc)
+    return done
+
+
+def _read_inputs(*reads) -> list:
+    """The results of the thunks ``reads``, in order, read at the same time.
+
+    A helper thread that this call owns and joins before it returns or
+    raises runs the reads at odd positions, in order; this thread runs
+    the rest.  If reads fail, the exception of the first failing one in
+    argument order is raised, as reading them in turn would report.
+    """
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        done = [helper.submit(read) if i % 2 else None for i, read in enumerate(reads)]
+        for i in range(0, len(reads), 2):
+            done[i] = _call(reads[i])
+            if done[i].exception() is not None:
+                break  # this failure or an earlier one is what gets raised
+        return [d.result() for d in done]
 
 
 def _mask_report(mask: FlipMask, policy, connectivity: int) -> dict:
@@ -132,7 +160,7 @@ def cmd_surface(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    d = diff_xor(_read_structure(args.src), _read_structure(args.tgt))
+    d = diff_xor(*_read_inputs(lambda: _read_structure(args.src), lambda: _read_structure(args.tgt)))
     if args.out:
         write_nvx(d, args.out)
     _emit({"diff_size": d.voxel_sum, "out": str(args.out) if args.out else None})
@@ -146,14 +174,21 @@ def cmd_components(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    s_src = _read_structure(args.src)
-    s_tgt = _read_structure(args.tgt)
+    s_src, s_tgt = _read_inputs(lambda: _read_structure(args.src), lambda: _read_structure(args.tgt))
     policy = _policy_from_args(args)
     merged, mask = voxel_merge(s_src, s_tgt, args.connectivity, policy)
-    write_nvx(merged, args.out)
-    if args.mask_out:
-        # compact separators keep json on its C encoder; indent would not
-        report = json.dumps(_mask_report(mask, policy, args.connectivity), separators=(",", ":"))
+    # a helper writes the NVX while this thread encodes the report; the
+    # report is written only once the NVX is, and a failed NVX write is
+    # what gets raised, as writing them in turn would report
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        written = helper.submit(write_nvx, merged, args.out)
+        try:
+            # compact separators keep json on its C encoder; indent would not
+            report = (json.dumps(_mask_report(mask, policy, args.connectivity), separators=(",", ":"))
+                      if args.mask_out else None)
+        finally:
+            written.result()
+    if report is not None:
         Path(args.mask_out).write_text(report + "\n", encoding="utf-8")
     _emit({
         "out": str(args.out),
@@ -167,10 +202,12 @@ def cmd_merge(args) -> int:
 
 
 def cmd_slat_merge(args) -> int:
-    z_src = _read_latent(args.src_slat)
-    z_tgt = _read_latent(args.tgt_slat)
-    merged = _read_structure(args.merged)
-    mask = mask_all(merged) if args.mask_all else _read_mask(args.mask)
+    reads = [lambda: _read_latent(args.src_slat), lambda: _read_latent(args.tgt_slat),
+             lambda: _read_structure(args.merged)]
+    if not args.mask_all:
+        reads.append(lambda: _read_mask(args.mask))
+    z_src, z_tgt, merged, *mask = _read_inputs(*reads)
+    mask = mask_all(merged) if args.mask_all else mask[0]
     out = slat_merge(z_src, z_tgt, mask, merged)
     write_nvx(out, args.out)
     _emit({"out": str(args.out), "voxel_sum": out.voxel_sum, "channels": out.channels,
@@ -228,18 +265,15 @@ def cmd_sample(args) -> int:
 
 
 def cmd_chamfer(args) -> int:
-    a = _read_structure(args.a)
-    b = _read_structure(args.b)
+    a, b = _read_inputs(lambda: _read_structure(args.a), lambda: _read_structure(args.b))
     _emit({"chamfer": chamfer_voxels(a, b), "iou": occupancy_iou(a, b)
            if a.resolution == b.resolution else None})
     return 0
 
 
 def cmd_consistency(args) -> int:
-    s_src = _read_structure(args.src)
-    s_tgt = _read_structure(args.tgt)
-    merged = _read_structure(args.merged)
-    mask = _read_mask(args.mask)
+    s_src, s_tgt, merged, mask = _read_inputs(lambda: _read_structure(args.src), lambda: _read_structure(args.tgt),
+                                              lambda: _read_structure(args.merged), lambda: _read_mask(args.mask))
     rep = region_consistency(s_src, s_tgt, merged, mask)
     _emit({"outside_mask_iou": rep.outside_mask_iou,
            "inside_mask_match_fraction": rep.inside_mask_match_fraction,

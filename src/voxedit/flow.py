@@ -46,6 +46,9 @@ class FlowEditConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        # each seed in this range is its own noise key, so no two seeds draw the same noise
+        if not 0 <= self.rng_seed < 2**64:
+            raise ValueError(f"rng_seed must be in [0, 2**64), got {self.rng_seed}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not (0 <= self.n_max <= self.steps):
@@ -179,7 +182,7 @@ class AffineGaussianVelocityOracle(VelocityOracle):
 
 
 def _noise_stream(seed: int, step: int, draw: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1), counter=[0, 0, step, draw]))
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, step, draw]))
 
 
 # states at least this long draw their noise on a helper thread; on

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChannelMismatch, EmptySlot, InstructionError, MissingSlot, SlotSyntaxError, UnknownAction
-from .grid import SparseStructure, StructuredLatent
+from .grid import SparseStructure, StructuredLatent, check_resolution
 from .merge import DEFAULT_CONNECTIVITY, Threshold, slat_merge, voxel_merge
 from .nvx import write_nvx
 
@@ -280,7 +280,7 @@ class MockGeneratorBackend(GeneratorBackend):
     """
 
     def __init__(self, resolution: int = 32, channels: int = 8):
-        self.resolution = int(resolution)
+        self.resolution = check_resolution(resolution)
         self.channels = int(channels)
         if self.resolution < 8:
             raise ValueError(f"mock resolution must be >= 8 to hold the planted edit, got {self.resolution}")

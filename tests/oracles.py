@@ -15,13 +15,16 @@ gathered each side through a boolean row mask before it built its output
 in one gather, the key-to-coords decode that stacked int64 divmod
 results, the FlowEdit loop that drew each noise sample inline and
 combined the velocities in fresh temporaries, and the dense grid and
-per-component split that the library no longer provides.  The one exception is the pipeline sample that runs its
-stages in turn: it orchestrates the package's own merges, codec and
-records, and is the reference for the order in which the concurrent
-``run_sample`` reports them.
+per-component split that the library no longer provides.  The exceptions
+are the pipeline sample that runs its stages in turn and the CLI commands
+that read their inputs in turn: they orchestrate the package's own
+merges, codec, records and command helpers, and are the references for
+the order in which the concurrent ``run_sample`` and CLI commands report
+them.
 """
 from __future__ import annotations
 
+import json
 import struct
 import zlib
 from collections import deque
@@ -31,8 +34,10 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from voxedit.cli import _emit, _mask_report, _policy_from_args, _read_latent, _read_mask, _read_structure
 from voxedit.errors import DimensionMismatch, NonFiniteState
-from voxedit.merge import DEFAULT_CONNECTIVITY, Threshold, slat_merge, voxel_merge
+from voxedit.merge import DEFAULT_CONNECTIVITY, Threshold, diff_xor, mask_all, slat_merge, voxel_merge
+from voxedit.metrics import chamfer_voxels, occupancy_iou, region_consistency
 from voxedit.nvx import write_nvx
 from voxedit.pipeline import ManifestRecord, SampleSpec, derive_seed, record_to_line
 
@@ -682,3 +687,68 @@ def run_pipeline_sequential(out_dir, n_samples, backends, seed=0, max_attempts=1
                               seed=derive_seed(seed, i))
             fh.write(record_to_line(run_sample_sequential(spec, backends, out_dir, max_attempts=max_attempts)))
     return manifest
+
+
+# --- CLI commands that read their inputs in turn ------------------------------
+# Each is the body of the command of the same name (``cmd_merge`` and so on)
+# as it was before the commands read their inputs on two threads.
+
+
+def cmd_diff_sequential(args) -> int:
+    d = diff_xor(_read_structure(args.src), _read_structure(args.tgt))
+    if args.out:
+        write_nvx(d, args.out)
+    _emit({"diff_size": d.voxel_sum, "out": str(args.out) if args.out else None})
+    return 0
+
+
+def cmd_merge_sequential(args) -> int:
+    s_src = _read_structure(args.src)
+    s_tgt = _read_structure(args.tgt)
+    policy = _policy_from_args(args)
+    merged, mask = voxel_merge(s_src, s_tgt, args.connectivity, policy)
+    write_nvx(merged, args.out)
+    if args.mask_out:
+        report = json.dumps(_mask_report(mask, policy, args.connectivity), separators=(",", ":"))
+        Path(args.mask_out).write_text(report + "\n", encoding="utf-8")
+    _emit({
+        "out": str(args.out),
+        "mask_out": str(args.mask_out) if args.mask_out else None,
+        "diff_size": sum(mask.component_sizes),
+        "component_sizes": list(mask.component_sizes),
+        "selected_sizes": list(mask.selected_sizes),
+        "merged_voxel_sum": merged.voxel_sum,
+    })
+    return 0
+
+
+def cmd_slat_merge_sequential(args) -> int:
+    z_src = _read_latent(args.src_slat)
+    z_tgt = _read_latent(args.tgt_slat)
+    merged = _read_structure(args.merged)
+    mask = mask_all(merged) if args.mask_all else _read_mask(args.mask)
+    out = slat_merge(z_src, z_tgt, mask, merged)
+    write_nvx(out, args.out)
+    _emit({"out": str(args.out), "voxel_sum": out.voxel_sum, "channels": out.channels,
+           "mask_size": mask.voxel_sum})
+    return 0
+
+
+def cmd_chamfer_sequential(args) -> int:
+    a = _read_structure(args.a)
+    b = _read_structure(args.b)
+    _emit({"chamfer": chamfer_voxels(a, b), "iou": occupancy_iou(a, b)
+           if a.resolution == b.resolution else None})
+    return 0
+
+
+def cmd_consistency_sequential(args) -> int:
+    s_src = _read_structure(args.src)
+    s_tgt = _read_structure(args.tgt)
+    merged = _read_structure(args.merged)
+    mask = _read_mask(args.mask)
+    rep = region_consistency(s_src, s_tgt, merged, mask)
+    _emit({"outside_mask_iou": rep.outside_mask_iou,
+           "inside_mask_match_fraction": rep.inside_mask_match_fraction,
+           "mask_size": rep.mask_size, "diff_size": rep.diff_size})
+    return 0

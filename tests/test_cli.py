@@ -389,6 +389,17 @@ def test_flow_seed_comes_from_the_flag_else_the_config(tmp_path, capsys):
             assert "a seed is required" in capsys.readouterr().err
 
 
+def test_flow_commands_take_seeds_in_the_same_range(capsys):
+    """``flowedit`` and ``sample`` accept exactly the seeds in [0, 2**64), so
+    no two seeds draw the same noise."""
+    for command, extra in (("flowedit", ["--x0", "0.5,-1"]), ("sample", [])):
+        argv = [command, "--oracle", "gaussian", "--src-mean", "0,1", "--tgt-mean", "2,3", *extra]
+        for seed in (-1, 2**64, 2**64 + 3):
+            result = run_cli(capsys, *argv, "--seed", str(seed))
+            assert result == (1, "", f"error: ValueError: rng_seed must be in [0, 2**64), got {seed}\n"), command
+        assert run_cli(capsys, *argv, "--seed", str(2**64 - 1))[0] == 0, command
+
+
 def test_pipeline_run_command(tmp_path, capsys):
     manifests = {}
     for workers in ("1", "2"):
@@ -412,17 +423,19 @@ def test_pipeline_run_rejects_bad_settings_before_writing(tmp_path, capsys):
     assert code == 0
     manifest = out_dir / "manifest.jsonl"
     before = manifest.read_bytes()
-    for flags in (("--workers", "0"), ("--workers", "-2"), ("--resolution", "4"), ("--channels", "0"),
-                  ("--max-attempts", "0"), ("--samples", "-1")):
+    for flags in (("--workers", "0"), ("--workers", "-2"), ("--resolution", "4"), ("--resolution", "65536"),
+                  ("--channels", "0"), ("--max-attempts", "0"), ("--samples", "-1")):
         code, stdout, stderr = run_cli(capsys, *base, *flags)
         assert code == 1, flags
         assert stdout == "" and stderr.startswith("error:"), flags
         # the earlier run's manifest is neither truncated nor appended to
         assert manifest.read_bytes() == before, flags
-    code, _, _ = run_cli(capsys, "pipeline", "run", "--out-dir", str(tmp_path / "small"),
-                         "--samples", "2", "--seed", "1", "--resolution", "4")
-    assert code == 1
-    assert not (tmp_path / "small").exists()
+    for resolution in ("4", "65536"):
+        # past the largest grid, the backend is refused before any sample allocates R^3 cells
+        code, _, stderr = run_cli(capsys, "pipeline", "run", "--out-dir", str(tmp_path / resolution),
+                                  "--samples", "2", "--seed", "1", "--resolution", resolution)
+        assert code == 1 and resolution in stderr
+        assert not (tmp_path / resolution).exists()
 
 
 def test_usage_errors_exit_2(capsys):

@@ -109,6 +109,8 @@ def test_config_defaults():
         {"steps": "10"},
         {"n_avg": 2.0},
         {"rng_seed": True},
+        {"rng_seed": -1},
+        {"rng_seed": 2**64},
         {"lambda_src": None},
     ],
 )

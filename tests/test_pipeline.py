@@ -180,8 +180,10 @@ def test_mock_generator_edit_token_plants_changes():
 
 
 def test_mock_generator_rejects_grids_too_small_for_the_edit():
-    with pytest.raises(ValueError):
-        MockGeneratorBackend(resolution=7, channels=4)
+    # too small for the edit, past the largest grid, or not an integer: refused before any R^3 allocation
+    for resolution in (7, 65536, 16.5):
+        with pytest.raises(ValueError):
+            MockGeneratorBackend(resolution=resolution, channels=4)
     with pytest.raises(ChannelMismatch):
         MockGeneratorBackend(resolution=16, channels=0)
     # the smallest allowed grid holds every planted edit box
