@@ -11,11 +11,11 @@ import dataclasses
 import functools
 import json
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from ._threads import split
 from .errors import VoxeditError
 from .flow import AffineGaussianVelocityOracle, DeltaVelocityOracle, FlowEditConfig, euler_sample, flowedit_run
 from .grid import SparseStructure, StructuredLatent, make_sparse
@@ -72,31 +72,9 @@ def _read_latent(path) -> StructuredLatent:
     return payload
 
 
-def _call(fn) -> Future:
-    """A finished future holding ``fn()``'s result or its exception."""
-    done = Future()
-    try:
-        done.set_result(fn())
-    except Exception as exc:  # noqa: BLE001 - reraised by result()
-        done.set_exception(exc)
-    return done
-
-
 def _read_inputs(*reads) -> list:
-    """The results of the thunks ``reads``, in order, read at the same time.
-
-    A helper thread that this call owns and joins before it returns or
-    raises runs the reads at odd positions, in order; this thread runs
-    the rest.  If reads fail, the exception of the first failing one in
-    argument order is raised, as reading them in turn would report.
-    """
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        done = [helper.submit(read) if i % 2 else None for i, read in enumerate(reads)]
-        for i in range(0, len(reads), 2):
-            done[i] = _call(reads[i])
-            if done[i].exception() is not None:
-                break  # this failure or an earlier one is what gets raised
-        return [d.result() for d in done]
+    """``[read() for read in reads]``, read on two threads by ``split``."""
+    return [done.result() for done in split(*reads)]
 
 
 def _mask_report(mask: FlipMask, policy, connectivity: int) -> dict:
@@ -111,7 +89,10 @@ def _mask_report(mask: FlipMask, policy, connectivity: int) -> dict:
 
 
 def _read_json_object(path, what: str) -> dict:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
     if type(obj) is not dict:
         raise ValueError(f"{what} {path} must hold a JSON object")
     return obj
@@ -177,19 +158,16 @@ def cmd_merge(args) -> int:
     s_src, s_tgt = _read_inputs(lambda: _read_structure(args.src), lambda: _read_structure(args.tgt))
     policy = _policy_from_args(args)
     merged, mask = voxel_merge(s_src, s_tgt, args.connectivity, policy)
-    # a helper writes the NVX while this thread encodes the report; the
-    # report is written only once the NVX is, and a failed NVX write is
-    # what gets raised, as writing them in turn would report
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        written = helper.submit(write_nvx, merged, args.out)
-        try:
-            # compact separators keep json on its C encoder; indent would not
-            report = (json.dumps(_mask_report(mask, policy, args.connectivity), separators=(",", ":"))
-                      if args.mask_out else None)
-        finally:
-            written.result()
-    if report is not None:
-        Path(args.mask_out).write_text(report + "\n", encoding="utf-8")
+    # the helper writes the NVX while this thread encodes the report, which
+    # is written only once the NVX is: a failed NVX write is what gets raised
+    report, written = split(
+        # compact separators keep json on its C encoder; indent would not
+        lambda: (json.dumps(_mask_report(mask, policy, args.connectivity), separators=(",", ":"))
+                 if args.mask_out else None),
+        functools.partial(write_nvx, merged, args.out))
+    written.result()
+    if args.mask_out:
+        Path(args.mask_out).write_text(report.result() + "\n", encoding="utf-8")
     _emit({
         "out": str(args.out),
         "mask_out": str(args.mask_out) if args.mask_out else None,

@@ -9,12 +9,7 @@ fields; closed-form oracles make the whole loop exactly checkable.
 Noise draws come from counter-based Philox substreams keyed on
 (``config.rng_seed``, step index, draw index), so runs reproduce bit for
 bit and two draws never share a stream.  A draw never depends on the
-state, so on states of at least ``_OVERLAP_MIN`` values ``flowedit_run``
-draws the noise one draw ahead on a helper thread that the call owns and
-joins before it returns or raises, while the calling thread evaluates
-the oracle and combines the velocities.  The oracle is evaluated on the
-calling thread only, and no array handed to it or returned by it is
-written after the call.
+state, so ``flowedit_run`` can draw the noise ahead on a helper thread.
 """
 from __future__ import annotations
 
@@ -70,16 +65,12 @@ def linear_schedule(steps: int) -> np.ndarray:
     return np.arange(steps + 1, dtype=np.float64) / steps
 
 
-def cfg_combine(v_uncond: np.ndarray, v_cond: np.ndarray, scale: float) -> np.ndarray:
+def cfg_combine(v_uncond: np.ndarray, v_cond: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
     """Classifier-free guidance: extrapolate from the unconditioned field
-    toward the conditioned one."""
-    return _cfg_combine(v_uncond, v_cond, scale, None)
-
-
-def _cfg_combine(v_uncond, v_cond, scale: float, out: np.ndarray | None) -> np.ndarray:
-    """``cfg_combine`` written into ``out`` (a new array when None), with the
-    bits of ``v_uncond + scale * (v_cond - v_uncond)``.  The float64 cast
-    comes first, so a float32 oracle result never selects a float32 loop."""
+    toward the conditioned one, with the bits of ``v_uncond + scale *
+    (v_cond - v_uncond)``, written into ``out`` when it is given.  The
+    float64 cast comes first, so a float32 oracle result never selects a
+    float32 loop."""
     v_uncond = np.asarray(v_uncond, dtype=np.float64)
     v_cond = np.asarray(v_cond, dtype=np.float64)
     if v_uncond.shape != v_cond.shape:
@@ -222,7 +213,7 @@ def _guided(oracle: VelocityOracle, z: np.ndarray, t: float, condition, scale: f
             out: np.ndarray | None = None) -> np.ndarray:
     v_uncond = oracle.evaluate(z, t, condition, conditioned=False)
     v_cond = oracle.evaluate(z, t, condition, conditioned=True)
-    return _cfg_combine(v_uncond, v_cond, scale, out)
+    return cfg_combine(v_uncond, v_cond, scale, out=out)
 
 
 def _require_finite(z: np.ndarray, where: str) -> None:
@@ -275,8 +266,7 @@ def flowedit_run(
 
     On states of at least ``_OVERLAP_MIN`` values the noise is drawn on a
     helper thread that this call owns and joins before it returns or
-    raises; the oracle is evaluated on the calling thread only, in the
-    same order and with the same output bits either way.
+    raises (see :class:`VelocityOracle`), with the same output bits.
 
     ``on_step`` (optional) receives a dict per step for transcripts.
     """

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, ChecksumMismatch, MalformedNvx, TruncatedFile, UnsupportedVersion
+from .errors import BadMagic, ChecksumMismatch, MalformedNvx, NvxError, TruncatedFile, UnsupportedVersion
 from .grid import COORD_DTYPE, LATENT_DTYPE, SparseStructure, StructuredLatent, linear_index
 
 MAGIC = b"NVX1"
@@ -116,14 +116,22 @@ def write_nvx(payload, path) -> None:
         fh.writelines(chunks)
 
 
+def _decode_file(path) -> tuple:
+    """``(bytes, payload)`` of an NVX file; a content error keeps its type and names the file."""
+    data = Path(path).read_bytes()
+    try:
+        return data, decode_nvx(data)
+    except NvxError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def read_nvx(path):
-    return decode_nvx(Path(path).read_bytes())
+    return _decode_file(path)[1]
 
 
 def inspect_nvx(path) -> dict:
     """Decode a file and summarize its header fields."""
-    data = Path(path).read_bytes()
-    payload = decode_nvx(data)
+    data, payload = _decode_file(path)
     info = {
         "path": str(path),
         "kind": "latent" if isinstance(payload, StructuredLatent) else "occupancy",

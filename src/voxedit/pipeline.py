@@ -10,6 +10,7 @@ interfaces without touching the orchestration.
 from __future__ import annotations
 
 import abc
+import functools
 import hashlib
 import json
 from collections import deque
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._threads import helper
 from .errors import ChannelMismatch, EmptySlot, InstructionError, MissingSlot, SlotSyntaxError, UnknownAction
 from .grid import SparseStructure, StructuredLatent, check_resolution
 from .merge import DEFAULT_CONNECTIVITY, Threshold, slat_merge, voxel_merge
@@ -176,9 +178,7 @@ class InstructionBackend(abc.ABC):
 
 
 class ImageEditorBackend(abc.ABC):
-    """Edits a source image.  ``run_sample`` calls it while its helper
-    thread runs the generator, even at ``workers=1``, so an implementation
-    must be thread-safe."""
+    """Edits a source image; must be thread-safe (see :class:`BackendSuite`)."""
 
     @abc.abstractmethod
     def edit(self, image_ref: str, instruction: EditInstruction, seed: int) -> str:
@@ -186,10 +186,8 @@ class ImageEditorBackend(abc.ABC):
 
 
 class GeneratorBackend(abc.ABC):
-    """Generates a structure and its latents from an image.  ``run_sample``
-    generates the source on a helper thread while the target is generated
-    on the calling thread, so ``generate`` runs on two threads at once
-    even at ``workers=1`` and must be thread-safe."""
+    """Generates a structure and its latents from an image; must be
+    thread-safe (see :class:`BackendSuite`)."""
 
     @abc.abstractmethod
     def generate(self, image_ref: str, seed: int) -> tuple[SparseStructure, StructuredLatent]:
@@ -205,8 +203,10 @@ class FilterBackend(abc.ABC):
 @dataclass
 class BackendSuite:
     """The four backends of a pipeline run.  Each sample calls them from two
-    threads, even at ``workers=1`` (see :func:`run_sample`), so they must
-    be thread-safe; the shipped mocks are stateless."""
+    threads, even at ``workers=1``: :func:`run_sample` generates the source
+    on its helper thread while the calling thread edits the image and
+    generates the target, so ``generate`` runs on two threads at once.
+    They must be thread-safe; the shipped mocks are stateless."""
 
     instruction: InstructionBackend
     image_editor: ImageEditorBackend
@@ -369,13 +369,12 @@ def run_sample(
     """Run the full editing chain for one sample, re-sampling on filter
     rejection up to ``max_attempts`` times.
 
-    Stages that do not depend on each other run at the same time on a
+    Stages that do not depend on each other run at the same time on one
     helper thread that this call owns and joins before it returns or
-    raises: the source generation runs while this thread edits the image
-    and generates the target, and the two threads share the artifact
-    writes.  So the backends are called from two threads.  The record is
-    the one that running the stages in turn would give: a failure is
-    reported at the first stage that fails in that order.
+    raises: it generates the source (see :class:`BackendSuite`) and writes
+    every other artifact.  The record is the one that running the stages
+    in turn would give: a failure is reported at the first stage that
+    fails in that order.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
@@ -384,9 +383,9 @@ def run_sample(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with helper() as split:
         for attempt in range(1, max_attempts + 1):
-            record = _run_attempt(sample, backends, out_dir, merge_policy, connectivity, attempt, helper)
+            record = _run_attempt(sample, backends, out_dir, merge_policy, connectivity, attempt, split)
             if record.status != "filtered":
                 break
     return record
@@ -400,22 +399,9 @@ _ARTIFACTS = (
     ("source_slat", "src_slat"),
     ("merged_slat", "merged_slat"),
 )
-# the helper thread writes these, about as many bytes as the other three
-_HELPER_WRITES = frozenset({"source_structure", "source_slat"})
 
 
-def _write_artifacts(out_dir: Path, jobs) -> dict:
-    """Write ``(field, path, payload)`` jobs in turn and stop at the first
-    failure; returns ``{field: exception}`` for it, or ``{}``."""
-    for name, path, payload in jobs:
-        try:
-            write_nvx(payload, out_dir / path)
-        except Exception as exc:  # noqa: BLE001 - the caller reports it in artifact order
-            return {name: exc}
-    return {}
-
-
-def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt, helper) -> ManifestRecord:
+def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt, split) -> ManifestRecord:
     record = ManifestRecord(
         id=sample.id,
         status="failed",
@@ -429,24 +415,21 @@ def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt, helpe
             sample.image_ref, derive_seed(sample.seed, attempt, "instruction"))
         record.instruction = instruction
 
-        source = helper.submit(backends.generator.generate, sample.image_ref,
-                               derive_seed(sample.seed, attempt, "generate_source"))
-        edited_ref = target_failure = None
-        try:
-            stage = "image_edit"
-            edited_ref = backends.image_editor.edit(
-                sample.image_ref, instruction, derive_seed(sample.seed, attempt, "image_edit"))
-            stage = "generate_target"
-            s_tgt, z_tgt = backends.generator.generate(
-                edited_ref, derive_seed(sample.seed, attempt, "generate_target"))
-        except Exception as exc:  # noqa: BLE001 - a source failure comes first in stage order
-            target_failure = stage, exc
+        edited = []  # the edited image ref, once the edit returns
+
+        def edit_then_generate_target():
+            edited.append(backends.image_editor.edit(
+                sample.image_ref, instruction, derive_seed(sample.seed, attempt, "image_edit")))
+            return backends.generator.generate(edited[0], derive_seed(sample.seed, attempt, "generate_target"))
+
+        target, source = split(edit_then_generate_target, functools.partial(
+            backends.generator.generate, sample.image_ref, derive_seed(sample.seed, attempt, "generate_source")))
         stage = "generate_source"
         s_src, z_src = source.result()
-        record.edited_image = edited_ref
-        if target_failure is not None:
-            stage, exc = target_failure
-            raise exc
+        stage = "image_edit"
+        if edited:
+            stage, record.edited_image = "generate_target", edited[0]
+        s_tgt, z_tgt = target.result()
 
         stage = "voxel_merge"
         merged, mask = voxel_merge(s_src, s_tgt, connectivity, policy)
@@ -455,15 +438,12 @@ def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt, helpe
         merged_slat = slat_merge(z_src, z_tgt, mask, merged)
 
         stage = "write_artifacts"
-        jobs = [(name, f"{sample.id}.{suffix}.nvx", payload)
-                for (name, suffix), payload in zip(_ARTIFACTS, (s_src, s_tgt, merged, z_src, merged_slat))]
-        helper_failures = helper.submit(_write_artifacts, out_dir, [j for j in jobs if j[0] in _HELPER_WRITES])
-        failures = _write_artifacts(out_dir, [j for j in jobs if j[0] not in _HELPER_WRITES])
-        failures |= helper_failures.result()
+        paths = [f"{sample.id}.{suffix}.nvx" for _, suffix in _ARTIFACTS]
+        written = split(*(functools.partial(write_nvx, payload, out_dir / path)
+                          for payload, path in zip((s_src, s_tgt, merged, z_src, merged_slat), paths)))
         # paths are recorded in artifact order, up to the first failed write
-        for name, path, _ in jobs:
-            if name in failures:
-                raise failures[name]
+        for (name, _), path, done in zip(_ARTIFACTS, paths, written):
+            done.result()
             setattr(record, name, path)
         record.voxel_sum_src = s_src.voxel_sum
         record.voxel_sum_tgt = s_tgt.voxel_sum
@@ -497,9 +477,9 @@ def run_pipeline(
 
     ``workers`` threads run samples, each with its own helper thread (see
     :func:`run_sample`), at most ``2 * workers`` samples ahead of the
-    manifest; this thread appends each record as soon as it and every
-    lower-indexed record are done, so the manifest bytes do not depend on
-    ``workers``.  If a sample raises past its own failure handling (a
+    manifest, so a long run builds no backlog; this thread appends each
+    record as soon as it and every lower-indexed record are done, so the
+    manifest bytes do not depend on ``workers``.  If a sample raises past its own failure handling (a
     crash, or Ctrl-C), the manifest keeps exactly the records before it:
     samples not yet started are cancelled, the run waits for those in
     flight, and none of theirs is written.
@@ -530,10 +510,6 @@ def run_pipeline(
     def work(spec: SampleSpec) -> ManifestRecord:
         return run_sample(spec, backends, out_dir, merge_policy, connectivity, max_attempts)
 
-    # Records are appended in sample order; at most 2 x workers samples are
-    # submitted and not yet written, so a long run builds no backlog of specs
-    # and futures.  An exception cancels the samples not yet started, and
-    # leaving the block waits for those running.
     with ThreadPoolExecutor(max_workers=workers) as pool:
         in_flight = deque()
         try:

@@ -343,6 +343,18 @@ def test_malformed_mask_report_exits_1(tmp_path, capsys, report):
     assert not (tmp_path / "out.nvx").exists()
 
 
+@pytest.mark.parametrize("data", [b'{"resolution": 16', b"NVX1\x00\xf1"], ids=["truncated", "not-utf8"])
+def test_a_mask_that_is_not_json_names_its_file(tmp_path, capsys, data):
+    src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=78)
+    mask_path = tmp_path / "mask.json"
+    mask_path.write_bytes(data)
+    code, stdout, stderr = run_cli(capsys, "consistency", "--src", str(src_path), "--tgt", str(tgt_path),
+                                   "--merged", str(src_path), "--mask", str(mask_path))
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(f"error: ValueError: mask report {mask_path} is not valid JSON: ")
+    assert stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("config", [{"stepz": 3}, [1], {"steps": "10"}], ids=["unknown-key", "list", "string"])
 def test_malformed_flow_config_exits_1(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"

@@ -122,8 +122,9 @@ def test_every_pair_of_bad_inputs_reports_what_reading_in_turn_reports(command, 
     out.mkdir()
     n = 0
     for bad in bad_sets(len(reads)):
-        argv = command_argv(command, [bad_input(inputs, flag, good, bad[slot]) if slot in bad else inputs / good
-                                      for slot, (flag, good) in enumerate(reads)], out)
+        paths = [bad_input(inputs, flag, good, bad[slot]) if slot in bad else inputs / good
+                 for slot, (flag, good) in enumerate(reads)]
+        argv = command_argv(command, paths, out)
         expected = run_sequential(capsys, *argv), files(out)
         for p in out.iterdir():
             p.unlink()
@@ -133,6 +134,8 @@ def test_every_pair_of_bad_inputs_reports_what_reading_in_turn_reports(command, 
         assert got == expected, bad
         # the all-good case succeeds; any bad input is an operation error
         assert expected[0][0] == (1 if bad else 0), bad
+        if len(bad) == 1:  # the error names the bad file
+            assert str(paths[next(iter(bad))]) in got[0][2], bad
         n += 1
     assert n == 1 + len(reads) * 3 + len(reads) * (len(reads) - 1) // 2 * 9
 
@@ -143,7 +146,7 @@ def test_slat_merge_reports_the_first_bad_input_in_argument_order(inputs, tmp_pa
     result = run_cli(capsys, "slat-merge", "--src-slat", str(inputs / "zs.nvx"), "--tgt-slat", str(tgt_slat),
                      "--merged", str(tmp_path / "no-such.nvx"), "--mask", str(inputs / "mask.json"),
                      "--out", str(tmp_path / "z.nvx"))
-    assert result == (1, "", "error: payload does not match stored CRC32\n")
+    assert result == (1, "", f"error: {tgt_slat}: payload does not match stored CRC32\n")
     assert not (tmp_path / "z.nvx").exists()
 
 

@@ -387,6 +387,23 @@ def test_no_thread_outlives_a_run(tmp_path):
     assert raised_on and threading.main_thread() not in raised_on
 
 
+def test_every_attempt_of_a_sample_generates_its_source_on_one_helper_thread(tmp_path):
+    idents = []
+
+    class RecordingGenerator(MockGeneratorBackend):
+        def generate(self, image_ref, seed):
+            if "::edit::" not in image_ref:
+                idents.append(threading.get_ident())
+            return super().generate(image_ref, seed)
+
+    suite = mock_backend_suite(resolution=16, channels=4, verdicts=(False, False, True))
+    suite.generator = RecordingGenerator(16, 4)
+    record = run_sample(SampleSpec(id="s", image_ref="mock-image://t/8", seed=19), suite, tmp_path, max_attempts=3)
+    assert record.status == "ok" and record.attempt == 3
+    assert len(idents) == 3 and len(set(idents)) == 1
+    assert idents[0] != threading.main_thread().ident
+
+
 def test_run_sample_attempts_differ(tmp_path):
     # the re-sampled attempt must draw a fresh instruction
     suite = mock_backend_suite(resolution=16, channels=4, verdicts=(False, True))
