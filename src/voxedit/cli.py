@@ -105,6 +105,9 @@ def _read_mask(path) -> FlipMask:
     sizes = obj.get("selected_sizes", []), obj.get("component_sizes", [])
     if not all(type(v) is list for v in sizes):
         raise ValueError("mask report fields 'selected_sizes' and 'component_sizes' must be lists")
+    for name in ("resolution", "coords"):
+        if name not in obj:
+            raise ValueError(f"mask report {path} lacks field {name!r}")
     s = make_sparse(obj["coords"], obj["resolution"])
     return FlipMask(resolution=s.resolution, coords=s.coords, key=s.key,
                     selected_sizes=tuple(sizes[0]), component_sizes=tuple(sizes[1]))

@@ -9,34 +9,41 @@ result conservative and deterministic on cell boundaries: a triangle whose
 lowest coordinate lies exactly on a cell boundary also occupies the cell
 below it.  Bounds and the vertices that triangles use must be finite.
 
-A triangle's candidate cells come from the column depth range of Schwarz
-& Seidel ("Fast Parallel Surface and Solid Voxelization on GPUs", SIGGRAPH
-Asia 2010): the columns of its bounding box run along the dominant axis of
-the face normal, and each keeps only the cells whose centres can pass the
-face-normal slab test, widened by one cell on each side for rounding.
-That makes O(R^2) candidates per triangle, where the box of a triangle
-spanning the grid holds O(R^3) cells.  Pruning drops only cells the SAT's
-face-normal axis rejects, so the result equals the SAT over the whole box.
-Triangles are taken in three groups by that dominant axis, so within a
-group a pair's cell is a fixed permutation of (column u, column v, depth),
-and each column's depth range is expanded into pairs by ``np.repeat``.
-Columns and (triangle, cell) pairs are both taken in chunks of a fixed
-size, so memory stays bounded even for one triangle that spans the grid.
-Where the arithmetic is exact (unit bounds, a power-of-two R, vertices on
-multiples of half a cell) the result equals the scalar brute force in
-``tests/oracles.py``; elsewhere a cell that a triangle touches exactly may
-fall either way, by rounding.
+The 3 box normals are folded into each triangle's candidate box: per axis
+it runs from ``ceil - 1`` of the triangle's minimum to ``floor`` of its
+maximum, then each end moves inward past the cells the box-normal test
+rejects, evaluated with that test's own float expression.  The SAT proper
+then runs the other 10 axes, and for an edge axis it adds only the two
+products that can be non-zero.  A triangle's candidate cells come from the
+column depth range of Schwarz & Seidel ("Fast Parallel Surface and Solid
+Voxelization on GPUs", SIGGRAPH Asia 2010): the columns of its candidate
+box run along the dominant axis of the face normal, and each keeps only
+the cells whose centres can pass the face-normal slab test, widened by one
+cell on each side for rounding.  That makes O(R^2) candidates per
+triangle, where the box of a triangle spanning the grid holds O(R^3)
+cells.  Pruning drops only cells the SAT's face-normal axis rejects, so
+the result equals the 13-axis SAT over the whole ``ceil - 1`` / ``floor``
+box.  Triangles are taken in three groups by that dominant axis, so within
+a group a pair's cell is a fixed permutation of (column u, column v,
+depth), and each column's depth range is expanded into pairs by
+``np.repeat``.  Columns and (triangle, cell) pairs are both taken in
+chunks of a fixed size, so memory stays bounded even for one triangle that
+spans the grid.  Per-triangle SAT quantities are gathered into the pairs
+with ``take`` from contiguous rows.  Where the arithmetic is exact (unit
+bounds, a power-of-two R, vertices on multiples of half a cell) the result
+equals the scalar brute force in ``tests/oracles.py``; elsewhere a cell
+that a triangle touches exactly may fall either way, by rounding.
 
 Surface export finds every exposed face in one pass over the six face
 directions.  Each face's four corners get integer keys, a per-voxel base
 key plus a per-direction offset; one sort of the keys groups equal
 corners, and the smallest position in each group is the corner's first
 use, which numbers the vertices.  ``save_obj`` writes the same bytes as
-one ``%.9g`` / ``%d`` record per line, in batches of lines, formatting
-integral vertices (all surface-mesh corners) with ``%d``.  Face records
-are assembled from a table, built per call, holding the digits of every
-index 1..V at the width of V: a batch gathers three fixed-width fields
-per line and drops the padding with one boolean mask.
+one ``%.9g`` / ``%d`` record per line, through one record writer that
+gathers each line's fields from a table built per call and drops the
+padding with one boolean mask.  The vertex table holds one row per
+distinct float64 bit pattern, formatted once with ``%.9g``; the face table
+holds the digits of every index 1..V at the width of V.
 """
 from __future__ import annotations
 
@@ -97,9 +104,10 @@ _OBJ_BATCH = 4096
 
 
 def _sat_axes(tri: np.ndarray) -> np.ndarray:
-    """The 13 separating-axis candidates of each triangle, ``(13, T, 3)``:
+    """The 10 separating-axis candidates of each triangle, ``(10, T, 3)``:
     the face normal first (it rejects most candidate cells), then the 9
-    box-normal x edge cross products, then the 3 box normals."""
+    box-normal x edge cross products.  The 3 box normals are folded into
+    the candidate box (``_candidate_box``)."""
     e = (tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2])
     zero = np.zeros(len(tri))
     axes = [np.cross(e[0], e[1])]
@@ -107,8 +115,44 @@ def _sat_axes(tri: np.ndarray) -> np.ndarray:
         axes.append(np.stack([zero, -ez, ey], axis=1))  # x-hat cross e
         axes.append(np.stack([ez, zero, -ex], axis=1))  # y-hat cross e
         axes.append(np.stack([-ey, ex, zero], axis=1))  # z-hat cross e
-    axes.extend(np.broadcast_to(unit, (len(tri), 3)) for unit in np.eye(3))
     return np.stack(axes)
+
+
+# The components of each ``_sat_axes`` axis that can be non-zero: all three
+# for the face normal, and the two besides the box normal's for each edge
+# axis.  A zero component adds an exact zero to the projection, so leaving
+# it out changes no bit that a comparison reads.
+_AXIS_TERMS = ((0, 1, 2),) + ((1, 2), (0, 2), (0, 1)) * 3
+
+
+def _candidate_box(tri, lo, cell, resolution):
+    """``(tmin, tmax)``, each ``(T, 3)`` int64: per axis, the first and last
+    cell whose closed box can touch each triangle's AABB, an empty range
+    where ``tmin > tmax``.
+
+    The box starts from ``ceil - 1`` of the minimum, which keeps the cell
+    touched from below, and ``floor`` of the maximum, clipped to the grid.
+    Then each end moves inward past the cells that the box-normal SAT axis
+    rejects, by the very expression that test uses (``pmin - c > r`` or
+    ``pmax - c < -r`` at ``c = lo + (i + 0.5) * cell``).  Both sides are
+    monotone in ``i``, so the cells left are exactly those of the box that
+    the three box-normal axes keep."""
+    pmin, pmax = tri.min(axis=1), tri.max(axis=1)
+    half = cell / 2.0
+    # clip before the cast, which is undefined for huge floats
+    tmin = np.clip(np.ceil((pmin - lo) / cell) - 1, 0, resolution - 1).astype(np.int64)
+    tmax = np.clip(np.floor((pmax - lo) / cell), 0, resolution - 1).astype(np.int64)
+    while True:
+        step = (tmin <= tmax) & (pmin - (lo + (tmin + 0.5) * cell) > half)
+        if not step.any():
+            break
+        tmin += step
+    while True:
+        step = (tmax >= tmin) & (pmax - (lo + (tmax + 0.5) * cell) < -half)
+        if not step.any():
+            break
+        tmax -= step
+    return tmin, tmax
 
 
 def _candidate_pairs(tri, lo, cell, resolution, normal, slab_lo, slab_hi):
@@ -116,18 +160,17 @@ def _candidate_pairs(tri, lo, cell, resolution, normal, slab_lo, slab_hi):
     batches of at most ``_SAT_CHUNK`` pairs; within the triangles of one
     dominant axis, ordered by triangle, column, depth.
 
-    A triangle's candidate box holds every cell whose closed box can touch
-    its AABB.  Its columns run along the dominant axis ``w`` of its face
-    normal ``n``; each keeps the ``w``-range of cells whose centres ``c``
-    can satisfy ``slab_lo <= n.c <= slab_hi``, widened by one cell on each
-    side for rounding and clipped to the box.  A normal that gives no such
+    A triangle's candidate box (``_candidate_box``) holds every cell whose
+    closed box can touch its AABB; an empty box gives no pairs.  Its
+    columns run along the dominant axis ``w`` of its face normal ``n``;
+    each keeps the ``w``-range of cells whose centres ``c`` can satisfy
+    ``slab_lo <= n.c <= slab_hi``, widened by one cell on each side for
+    rounding and clipped to the box.  A normal that gives no such
     range (zero, non-finite, or so small that ``n.c`` underflows) keeps
     the whole column.  Columns, too, are taken ``_SAT_CHUNK`` at a time."""
     rows = np.arange(len(tri))
-    # ceil - 1 (not floor) keeps the cell below an exact boundary; clip
-    # before the cast, which is undefined for huge floats
-    tmin = np.clip(np.ceil((tri.min(axis=1) - lo) / cell) - 1, 0, resolution - 1).astype(np.int64)
-    tmax = np.clip(np.floor((tri.max(axis=1) - lo) / cell), 0, resolution - 1).astype(np.int64)
+    tmin, tmax = _candidate_box(tri, lo, cell, resolution)
+    nonempty = (tmin <= tmax).all(axis=1)
     w = np.argmax(np.abs(normal), axis=1)
     u, v = (w + 1) % 3, (w + 2) % 3  # (u, v, w) is a rotation of (x, y, z)
     step = normal * cell  # change of n.c per cell along each axis
@@ -146,7 +189,7 @@ def _candidate_pairs(tri, lo, cell, resolution, normal, slab_lo, slab_hi):
     gv = np.where(prune, step[rows, v], 0.0) / sw
 
     for axis in range(3):
-        sel = np.flatnonzero(w == axis)
+        sel = np.flatnonzero((w == axis) & nonempty)
         au, av = (axis + 1) % 3, (axis + 2) % 3
         bu, bv, bw, ew = tmin[sel, au], tmin[sel, av], tmin[sel, axis], tmax[sel, axis]
         dv = tmax[sel, av] - bv + 1
@@ -180,6 +223,25 @@ def _candidate_pairs(tri, lo, cell, resolution, normal, slab_lo, slab_hi):
                 yield (np.repeat(t[c], count), *ijk)
 
 
+def _separated(k, t, centre, a, rad, pmin, pmax) -> np.ndarray:
+    """Does SAT axis ``k`` separate each triangle ``t`` from the cell box
+    around ``centre``: ``a``, ``rad``, ``pmin`` and ``pmax`` are
+    ``voxelize_mesh``'s per-axis rows, gathered here by ``t``."""
+    j, *rest = _AXIS_TERMS[k]
+    c = centre[j] * a[j, k].take(t)
+    for j in rest:
+        c += centre[j] * a[j, k].take(t)
+    r = rad[k].take(t)
+    # strict inequality: touching is not separated; c - pmax is exactly
+    # -(pmax - c), so the second test is pmax - c < -r
+    d = pmin[k].take(t)
+    d -= c
+    sep = d > r
+    np.subtract(c, pmax[k].take(t), out=d)
+    sep |= d > r
+    return sep
+
+
 def voxelize_mesh(mesh: TriMesh, resolution: int, bounds=None) -> SparseStructure:
     """Conservative surface voxelization onto the uniform R^3 partition of
     ``bounds``.  The default is the AABB of the vertices that triangles use,
@@ -209,29 +271,28 @@ def voxelize_mesh(mesh: TriMesh, resolution: int, bounds=None) -> SparseStructur
     half = cell / 2.0
 
     axes = _sat_axes(tri)
-    ax, ay, az = axes[..., 0], axes[..., 1], axes[..., 2]  # (13, T) each
-    proj = tri[None, :, :, 0] * ax[..., None] + tri[None, :, :, 1] * ay[..., None] \
-        + tri[None, :, :, 2] * az[..., None]              # (13, T, 3) vertex projections
+    a = np.ascontiguousarray(np.moveaxis(axes, 2, 0))  # (3, K, T): a[j, k] is one contiguous row
+    proj = tri[None, :, :, 0] * a[0, ..., None] + tri[None, :, :, 1] * a[1, ..., None] \
+        + tri[None, :, :, 2] * a[2, ..., None]            # (K, T, 3) vertex projections
     pmin, pmax = proj.min(axis=2), proj.max(axis=2)
-    rad = half[0] * np.abs(ax) + half[1] * np.abs(ay) + half[2] * np.abs(az)
+    rad = half[0] * np.abs(a[0]) + half[1] * np.abs(a[1]) + half[2] * np.abs(a[2])
 
     r2 = resolution * resolution
     hits = [np.empty(0, dtype=np.int64)]
     for t, ix, iy, iz in _candidate_pairs(tri, lo, cell, resolution, axes[0],
                                           pmin[0] - rad[0], pmax[0] + rad[0]):
-        cx = lo[0] + (ix + 0.5) * cell[0]
-        cy = lo[1] + (iy + 0.5) * cell[1]
-        cz = lo[2] + (iz + 0.5) * cell[2]
+        centre = [lo[0] + (ix + 0.5) * cell[0], lo[1] + (iy + 0.5) * cell[1], lo[2] + (iz + 0.5) * cell[2]]
         lin = ix * r2 + iy * resolution + iz
-        for k in range(len(axes)):
-            c = cx * ax[k, t] + cy * ay[k, t] + cz * az[k, t]
-            r = rad[k, t]
-            # strict inequality: touching is not separated
-            keep = ~((pmin[k, t] - c > r) | (pmax[k, t] - c < -r))
-            t, cx, cy, cz, lin = t[keep], cx[keep], cy[keep], cz[keep], lin[keep]
-            if not len(t):
-                break
-        hits.append(_sorted_unique(lin))
+        # the face normal rejects the cells that widen each column, about
+        # half of them, so its survivors are compacted; the edge axes reject
+        # a few percent each, less than a compaction costs, so they only mark
+        idx = np.flatnonzero(~_separated(0, t, centre, a, rad, pmin, pmax))
+        t, lin = t.take(idx), lin.take(idx)
+        centre = [x.take(idx) for x in centre]
+        separated = np.zeros(len(t), dtype=bool)
+        for k in range(1, len(_AXIS_TERMS)):
+            separated |= _separated(k, t, centre, a, rad, pmin, pmax)
+        hits.append(_sorted_unique(lin.take(np.flatnonzero(~separated))))
     return sparse_from_linear(_sorted_unique(np.concatenate(hits)), resolution)
 
 
@@ -311,30 +372,43 @@ def _index_fields(n: int) -> np.ndarray:
     return fields
 
 
+def _float_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, rows)``: ``table`` is ``(U, 1 + width)`` uint8, one row per
+    distinct float64 bit pattern in ``values``, holding a space and its
+    ``%.9g`` text, with zero bytes as padding; ``rows`` has the shape of
+    ``values`` and names each value's row."""
+    keys, rows = np.unique(values.view(np.int64), return_inverse=True)
+    # %.9g is at most 16 characters ("-1.23456789e-308") and never holds a
+    # space, so one %16.9g call formats every key into a fixed-width row
+    text = np.frombuffer(b"%16.9g" * len(keys) % tuple(keys.view(np.float64).tolist()), dtype=np.uint8)
+    text = text.reshape(len(keys), 16)
+    used = text != ord(" ")
+    start = int(used.any(axis=0).argmax())  # the columns left of it are all padding
+    table = np.empty((len(keys), 17 - start), dtype=np.uint8)
+    table[:, 0] = ord(" ")
+    np.multiply(text[:, start:], used[:, start:], out=table[:, 1:])
+    return table, rows.reshape(values.shape)
+
+
+def _write_records(fh, head: str, table: np.ndarray, rows: np.ndarray) -> None:
+    """One line per row of ``rows``: ``head``, the ``table`` rows it names
+    with their zero padding dropped, and a newline."""
+    for i in range(0, len(rows), _OBJ_BATCH):
+        batch = rows[i:i + _OBJ_BATCH]
+        line = np.empty((len(batch), 2 + batch.shape[1] * table.shape[1]), dtype=np.uint8)
+        line[:, 0] = ord(head)
+        line[:, 1:-1] = np.take(table, batch, axis=0).reshape(len(batch), -1)
+        line[:, -1] = ord("\n")
+        fh.write(line[line != 0].tobytes())
+
+
 def save_obj(mesh: TriMesh, path) -> None:
-    """OBJ-compatible text export: v/f records, 1-based indices."""
-    v = mesh.vertices
-    # %d writes what %.9g writes for an integer below 1e9 in magnitude
-    # (1e9 itself is "1e+09"), except -0.0, and is several times faster;
-    # surface-mesh corners always qualify
-    if (np.abs(v) < 1e9).all() and (v == np.trunc(v)).all() and not np.signbit(v[v == 0]).any():
-        v, record = v.astype(np.int64), b"v %d %d %d\n"
-    else:
-        record = b"v %.9g %.9g %.9g\n"
-    tri = mesh.triangles
+    """OBJ-compatible text export: v/f records, 1-based indices; the bytes
+    of one ``%.9g`` / ``%d`` record per line."""
     with open(path, "wb") as fh:
-        for i in range(0, len(v), _OBJ_BATCH):
-            batch = v[i:i + _OBJ_BATCH]
-            fh.write(record * len(batch) % tuple(batch.ravel().tolist()))
+        _write_records(fh, "v", *_float_fields(np.ascontiguousarray(mesh.vertices, dtype=np.float64)))
         # every index is in [0, V), which TriMesh checks, so each has a row
-        fields = _index_fields(mesh.num_vertices)
-        for i in range(0, len(tri), _OBJ_BATCH):
-            batch = tri[i:i + _OBJ_BATCH]
-            line = np.empty((len(batch), 2 + 3 * fields.shape[1]), dtype=np.uint8)
-            line[:, 0] = ord("f")
-            line[:, 1:-1] = fields[batch].reshape(len(batch), -1)
-            line[:, -1] = ord("\n")
-            fh.write(line[line != 0].tobytes())
+        _write_records(fh, "f", _index_fields(mesh.num_vertices), mesh.triangles)
 
 
 def load_obj(path) -> TriMesh:

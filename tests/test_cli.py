@@ -31,7 +31,7 @@ from voxedit.cli import _emit, build_parser, dispatch
 from voxedit.merge import slat_merge
 from voxedit.nvx import encode_nvx
 
-from oracles import random_structure_coords
+from oracles import random_structure_coords, save_obj_loop, surface_mesh_loop, voxelize_mesh_aabb
 
 DATA = Path(__file__).parent / "data"
 
@@ -203,6 +203,49 @@ def test_voxelize_and_surface(tmp_path, capsys):
     assert obj_out.read_text().startswith("v ")
 
 
+def tessellated_sphere_and_spanning_triangles(rng):
+    """A 440-triangle UV sphere of radius 0.3, rotated and moved a little off
+    the centre of the unit cube, plus two tilted triangles whose corners lie
+    near the cube's corners; returns (vertices, triangles)."""
+    lat, lon = 12, 20
+    theta = np.linspace(0, np.pi, lat + 1)[1:-1]
+    phi = np.arange(lon) * 2 * np.pi / lon
+    ring = np.stack([np.outer(np.sin(theta), np.cos(phi)), np.outer(np.sin(theta), np.sin(phi)),
+                     np.repeat(np.cos(theta)[:, None], lon, axis=1)], axis=-1).reshape(-1, 3)
+    unit = np.concatenate([[[0, 0, 1]], ring, [[0, 0, -1]]])
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    verts = [0.5 + rng.uniform(-0.03, 0.03, 3) + 0.3 * unit @ (q * np.sign(np.diag(r))).T]
+    tris, last = [], len(unit) - 1
+    for j in range(lon):
+        jn = (j + 1) % lon
+        tris += [(0, 1 + j, 1 + jn), (last, 1 + (lat - 2) * lon + jn, 1 + (lat - 2) * lon + j)]
+        for i in range(lat - 2):
+            a, b = 1 + i * lon + j, 1 + i * lon + jn
+            tris += [(a, a + lon, b), (b, a + lon, b + lon)]
+    corners = np.array([[0.05, 0.05, 0.05], [0.95, 0.05, 0.3], [0.5, 0.95, 0.95],
+                        [0.95, 0.95, 0.05], [0.05, 0.5, 0.95], [0.05, 0.95, 0.4]])
+    for k in range(2):
+        tris.append(tuple(len(unit) + 3 * k + i for i in range(3)))
+        verts.append(corners[[k, k + 2, k + 4]] + rng.uniform(-0.03, 0.03, (3, 3)))
+    return np.concatenate(verts), np.array(tris, dtype=np.int64)
+
+
+def test_voxelize_then_surface_of_a_sphere_equals_the_reference_stages(tmp_path, capsys):
+    verts, tris = tessellated_sphere_and_spanning_triangles(np.random.default_rng(80))
+    mesh_path, nvx_path, obj_path = tmp_path / "mesh.obj", tmp_path / "vox.nvx", tmp_path / "shell.obj"
+    mesh_path.write_text("".join([f"v {x!r} {y!r} {z!r}\n" for x, y, z in verts.tolist()]
+                                 + [f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in tris.tolist()]))
+    code, _, _ = run_cli(capsys, "voxelize", "--mesh", str(mesh_path), "--resolution", "64",
+                         "--bounds", "0", "0", "0", "1", "1", "1", "--out", str(nvx_path))
+    assert code == 0
+    coords = read_nvx(nvx_path).coords
+    assert np.array_equal(coords, voxelize_mesh_aabb(verts, tris, 64, np.zeros(3), np.ones(3)))
+    code, _, _ = run_cli(capsys, "surface", str(nvx_path), "--out", str(obj_path))
+    assert code == 0
+    save_obj_loop(*surface_mesh_loop(coords, 64), tmp_path / "reference.obj")
+    assert obj_path.read_bytes() == (tmp_path / "reference.obj").read_bytes()
+
+
 def test_voxelize_rejects_non_finite_input(tmp_path, capsys):
     finite = "v 0.1 0.1 0.1\nv 0.5 0.5 0.5\nv 0.9 0.9 0.2\nf 1 2 3\n"
     out = tmp_path / "v.nvx"
@@ -325,21 +368,40 @@ def test_consistency_rejects_fractional_mask_coords(tmp_path, capsys):
         assert stderr.startswith("error:")
 
 
+def mask_reading_argvs(tmp_path, seed):
+    """``consistency`` and ``slat-merge`` arguments on valid inputs, all but
+    ``--mask``; ``slat-merge`` writes ``out.nvx`` in ``tmp_path``."""
+    src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=seed)
+    z = make_latent(src.coords, np.zeros((src.voxel_sum, 2), dtype=np.float32), 16)
+    write_nvx(z, tmp_path / "z.nvx")
+    return (["consistency", "--src", str(src_path), "--tgt", str(tgt_path), "--merged", str(src_path)],
+            ["slat-merge", "--src-slat", str(tmp_path / "z.nvx"), "--tgt-slat", str(tmp_path / "z.nvx"),
+             "--merged", str(src_path), "--out", str(tmp_path / "out.nvx")])
+
+
 @pytest.mark.parametrize("report", [[1, 2], {"resolution": 16, "coords": None},
                                     {"resolution": 16, "coords": [[2, 0, 0]], "selected_sizes": 5}],
                          ids=["list", "null-coords", "scalar-sizes"])
 def test_malformed_mask_report_exits_1(tmp_path, capsys, report):
-    src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=77)
-    z = make_latent(src.coords, np.zeros((src.voxel_sum, 2), dtype=np.float32), 16)
-    write_nvx(z, tmp_path / "z.nvx")
     mask_path = tmp_path / "mask.json"
     mask_path.write_text(json.dumps(report))
-    for argv in (["consistency", "--src", str(src_path), "--tgt", str(tgt_path), "--merged", str(src_path)],
-                 ["slat-merge", "--src-slat", str(tmp_path / "z.nvx"), "--tgt-slat", str(tmp_path / "z.nvx"),
-                  "--merged", str(src_path), "--out", str(tmp_path / "out.nvx")]):
+    for argv in mask_reading_argvs(tmp_path, seed=77):
         code, stdout, stderr = run_cli(capsys, *argv, "--mask", str(mask_path))
         assert (code, stdout) == (1, ""), argv[0]
         assert stderr.startswith("error: ValueError:") and stderr.count("\n") == 1, argv[0]
+    assert not (tmp_path / "out.nvx").exists()
+
+
+@pytest.mark.parametrize("missing", ["resolution", "coords"])
+def test_a_mask_report_without_a_field_names_its_file_and_the_field(tmp_path, capsys, missing):
+    report = {"resolution": 16, "coords": [[2, 0, 0]], "selected_sizes": [1], "component_sizes": [1]}
+    del report[missing]
+    mask_path = tmp_path / "mask.json"
+    mask_path.write_text(json.dumps(report))
+    for argv in mask_reading_argvs(tmp_path, seed=79):
+        code, stdout, stderr = run_cli(capsys, *argv, "--mask", str(mask_path))
+        assert (code, stdout) == (1, ""), argv[0]
+        assert stderr == f"error: ValueError: mask report {mask_path} lacks field '{missing}'\n", argv[0]
     assert not (tmp_path / "out.nvx").exists()
 
 

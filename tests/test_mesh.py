@@ -270,6 +270,79 @@ def test_voxelize_equals_unpruned_aabb_oracle(chunk, case):
     assert np.array_equal(got, voxelize_mesh_aabb(verts, tris, resolution, *bounds))
 
 
+def box_normal_cells(tri, lo, cell, resolution, axis) -> list:
+    """The cells ``i`` of the ``ceil - 1`` / ``floor`` box along ``axis``
+    that the box-normal SAT axis keeps: every ``i`` of the grid is tested
+    in scalar arithmetic, with the projections, radius and centre computed
+    as the SAT computes them for the unit axis, then intersected with the
+    box."""
+    unit = [float(j == axis) for j in range(3)]
+    half = [c / 2.0 for c in cell]
+    proj = [v[0] * unit[0] + v[1] * unit[1] + v[2] * unit[2] for v in tri]
+    pmin, pmax = min(proj), max(proj)
+    r = half[0] * abs(unit[0]) + half[1] * abs(unit[1]) + half[2] * abs(unit[2])
+    centres = [lo[axis] + (i + 0.5) * cell[axis] for i in range(resolution)]
+    kept = [i for i, c in enumerate(centres) if not (pmin - c > r or pmax - c < -r)]
+    # both tests are monotone in i, so what they keep is one run
+    assert not kept or kept == list(range(kept[0], kept[-1] + 1))
+    start = int(np.clip(np.ceil((min(v[axis] for v in tri) - lo[axis]) / cell[axis]) - 1, 0, resolution - 1))
+    stop = int(np.clip(np.floor((max(v[axis] for v in tri) - lo[axis]) / cell[axis]), 0, resolution - 1))
+    return [i for i in kept if start <= i <= stop]
+
+
+@st.composite
+def candidate_box_cases(draw):
+    """One triangle at R 2-64 with offset, non-unit bounds; its vertices are
+    generic, on cell boundaries or on half-cell multiples, and may lie wholly
+    below or above the bounds on one axis."""
+    resolution = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = rng.uniform(-1e6, 1e6, 3) if draw(st.booleans()) else np.zeros(3)
+    extent = 10.0 ** rng.uniform(-3, 6, 3) if draw(st.booleans()) else np.ones(3)
+    cell = extent / resolution
+    kind = draw(st.sampled_from(["generic", "boundary", "half"]))
+    if kind == "generic":
+        tri = lo + rng.uniform(-0.2, 1.2, (3, 3)) * extent
+    else:
+        steps = rng.integers(-2, 2 * resolution + 3, (3, 3))
+        tri = lo + (steps if kind == "boundary" else steps / 2) * cell
+    outside = draw(st.sampled_from([None, "below", "above"]))
+    if outside is not None:
+        axis = rng.integers(3)
+        shift = tri[:, axis] - (tri[:, axis].max() if outside == "below" else tri[:, axis].min())
+        tri[:, axis] = (lo[axis] if outside == "below" else lo[axis] + extent[axis]) + shift \
+            + (-1 if outside == "below" else 1) * rng.uniform(0, 2) * cell[axis]
+    return tri, lo, cell, resolution
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=candidate_box_cases())
+def test_candidate_box_keeps_exactly_the_cells_the_box_normals_keep(case):
+    tri, lo, cell, resolution = case
+    tmin, tmax = mesh_module._candidate_box(tri[None], lo, cell, resolution)
+    for axis in range(3):
+        kept = box_normal_cells(tri.tolist(), lo.tolist(), cell.tolist(), resolution, axis)
+        if kept:
+            assert (tmin[0, axis], tmax[0, axis]) == (kept[0], kept[-1]), axis
+        else:
+            assert tmin[0, axis] > tmax[0, axis], axis
+
+
+def test_candidate_box_narrows_inward_only():
+    # rounding puts cells just outside the ceil - 1 / floor box that the
+    # box normals would keep; the box does not grow to take them, so the
+    # result stays the 13-axis SAT's over that box
+    verts = np.array([[742796.4252955718, 298151.96181231283, -637604.2153754701],
+                      [584135.1251997934, 298151.9509549358, -637604.2153754701],
+                      [568268.9951902155, 298151.96491442056, -637604.2201776983]])
+    lo = np.array([568268.9951902155, 298151.9517304627, -637604.2313828974])
+    extent = np.array([2.5385808015324548e+05, 1.2408430915356159e-02, 2.5611883580422035e-02])
+    s = voxelize_mesh(make_mesh(verts, [(0, 1, 2)]), 8, (lo, lo + extent))
+    assert s.voxel_sum == 39
+    assert np.array_equal(s.coords, voxelize_mesh_aabb(verts, [(0, 1, 2)], 8, lo, lo + extent))
+    assert mesh_module._sat_axes(verts[None]).shape == (10, 1, 3)
+
+
 def test_degenerate_triangle_contributes_cells():
     # zero-area sliver along an axis
     verts = np.array([[0.1, 0.1, 0.1], [0.9, 0.1, 0.1], [0.5, 0.1, 0.1]])
@@ -478,15 +551,26 @@ def test_save_obj_bytes_equal_loop_reference(tmp_path, monkeypatch, batch):
     odd = np.array([[-0.0, 1e-12, 1e12], [0.1, -1 / 3, 2.5e-300], [123456789.123, -7.0, 1e300],
                     [np.inf, -np.inf, np.nan]])
     meshes = [extract_surface_mesh(s) for s in surface_cases()]
-    # integral vertices are written with %d; at 1e9, at -0.0 and off the
-    # integers %.9g prints something else, so those stay on %.9g
+    # each distinct bit pattern gets its own table row, so integers, -0.0
+    # beside 0.0, and NaNs of every payload and sign each keep their text
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF0000000000ABC,
+                     0x7FFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+    powers = [s * 10.0 ** k for k in range(-12, 23) for s in (1, -1)] + [0.0, -0.0, 1e9 - 1, -(1e9 - 1)]
     tris = [(0, 1, 2)]
     for corners in ([[999999999.0, -999999999.0, 0], [1, 2, 3], [4, 5, 6]],
                     [[1e9, 0, 0], [1, 2, 3], [4, 5, 6]],
                     [[0, -0.0, 1], [1, 2, 3], [4, 5, 6]],
                     [[-1, -2, -3], [-40, 0, 7], [-123456789, 5, -6]],
-                    [[0, 1, 2], [3, 0.5, 4], [5, 6, 7]]):
+                    [[0, 1, 2], [3, 0.5, 4], [5, 6, 7]],
+                    [[1, 0.0, 2], [1.5, -0.0, 2], [-7, 0.0, 1e-7]],  # one column mixes integers and fractions
+                    [[nans[0], nans[1], 0], [nans[2], nans[3], nans[4]], [-nans[0], 1, np.nan]],
+                    # the widest %.9g texts, 16 characters each
+                    [[-1.23456789e-308, -2.2250738585072014e-308, -5e-324],
+                     [-1.7976931348623157e308, -np.inf, 1.7976931348623157e308], [0, 1, 2]]):
         meshes.append(make_mesh(corners, tris))
+    meshes.append(make_mesh(np.reshape(powers + [7.0], (-1, 3)), rng.integers(0, 25, size=(30, 3))))
+    meshes.append(TriMesh(vertices=np.empty((0, 3)), triangles=np.empty((0, 3), dtype=np.int64)))
+    meshes.append(make_mesh(rng.standard_normal((5, 3)), np.empty((0, 3))))
     for n in (1, 4, 5000):
         verts = np.concatenate([odd, rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-15, 15, (n, 1))])
         meshes.append(make_mesh(verts, rng.integers(0, len(verts), size=(n, 3))))
