@@ -1,7 +1,9 @@
-"""The one rule by which the CLI and the pipeline overlap independent work."""
+"""The one module that starts threads: every overlap of independent work
+in the CLI, the pipeline and ``flowedit_run`` goes through it."""
 from __future__ import annotations
 
 import contextlib
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 
 
@@ -45,3 +47,30 @@ def split(*thunks) -> list:
     so reading them in order raises what running them in turn would."""
     with helper() as run:
         return run(*thunks)
+
+
+@contextlib.contextmanager
+def ahead(thunks, workers: int):
+    """Yield the results of ``thunks`` in order, taken lazily and run on
+    ``workers`` threads that the block owns and joins (with none, each on
+    the calling thread when its result is asked for).  While the caller
+    holds result j, thunks up to j + 2 * workers - 1 may run.  A thunk's
+    exception is raised at its position.  However the block exits, the
+    thunks not yet started are cancelled and the running ones joined."""
+    if workers == 0:
+        yield (thunk() for thunk in thunks)
+        return
+    pool, pending = ThreadPoolExecutor(max_workers=workers), deque()
+
+    def results():
+        for thunk in thunks:
+            pending.append(pool.submit(thunk))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+    try:
+        yield results()
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -9,18 +9,18 @@ fields; closed-form oracles make the whole loop exactly checkable.
 Noise draws come from counter-based Philox substreams keyed on
 (``config.rng_seed``, step index, draw index), so runs reproduce bit for
 bit and two draws never share a stream.  A draw never depends on the
-state, so ``flowedit_run`` can draw the noise ahead on a helper thread.
+state, so ``flowedit_run`` can draw it ahead on a ``_threads.ahead`` helper.
 """
 from __future__ import annotations
 
 import abc
-import contextlib
+import functools
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import ahead
 from .errors import DimensionMismatch, NonFiniteState
 
 
@@ -172,41 +172,14 @@ class AffineGaussianVelocityOracle(VelocityOracle):
         return v
 
 
-def _noise_stream(seed: int, step: int, draw: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, step, draw]))
+def _draw(seed: int, key: tuple, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the standard normals of the (step, draw) ``key``'s stream."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, *key])).standard_normal(out=out)
 
 
 # states at least this long draw their noise on a helper thread; on
 # shorter ones the hand-off costs more than the draw it hides
 _OVERLAP_MIN = 1 << 14
-
-
-def _noise(seed: int, keys: list, n: int, helper: ThreadPoolExecutor | None):
-    """Yields ``n`` standard normals per (step, draw) key, in order.
-
-    Without a ``helper``, each draw is made inline into one buffer.  With
-    one, the helper fills two buffers in turn, one draw ahead: draw j+1
-    is asked for only once draw j is done, and goes into the buffer that
-    held draw j-1, which the caller has finished reading when it asks for
-    draw j.
-    """
-    def fill(key, out):
-        _noise_stream(seed, *key).standard_normal(out=out)
-        return out
-
-    ready = np.empty(n)
-    if helper is None:
-        for key in keys:
-            yield fill(key, ready)
-        return
-    spare = np.empty(n)
-    pending = helper.submit(fill, keys[0], ready)
-    for key in keys[1:]:
-        ready = pending.result()
-        pending = helper.submit(fill, key, spare)
-        yield ready
-        spare = ready
-    yield pending.result()
 
 
 def _guided(oracle: VelocityOracle, z: np.ndarray, t: float, condition, scale: float,
@@ -264,9 +237,9 @@ def flowedit_run(
     path; for steps n_min..1 the guided target field alone drives plain
     Euler updates.  Returns the state at t=0.
 
-    On states of at least ``_OVERLAP_MIN`` values the noise is drawn on a
-    helper thread that this call owns and joins before it returns or
-    raises (see :class:`VelocityOracle`), with the same output bits.
+    On states of at least ``_OVERLAP_MIN`` values the noise is drawn one
+    draw ahead on a helper thread of :func:`_threads.ahead` (see
+    :class:`VelocityOracle`), with the same output bits.
 
     ``on_step`` (optional) receives a dict per step for transcripts.
     """
@@ -276,10 +249,12 @@ def flowedit_run(
     z = x_src.copy()
     n = z.shape[0]
     keys = [(i, k) for i in range(config.n_max, config.n_min, -1) for k in range(config.n_avg)]
-    overlap = bool(keys) and n >= _OVERLAP_MIN
+    overlap = n >= _OVERLAP_MIN
+    # draw j+1 goes into draw j-1's buffer, which this thread has finished reading when it asks for draw j
+    buffers = [np.empty(n) for _ in range(1 + overlap)]
+    draws = (functools.partial(_draw, config.rng_seed, key, buffers[j % len(buffers)]) for j, key in enumerate(keys))
 
-    with ThreadPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as helper:
-        noise = _noise(config.rng_seed, keys, n, helper)
+    with ahead(draws, workers=int(overlap)) as noise:
         # z_src and z_tgt go to the oracle, so each draw makes them new;
         # these four are never handed out
         ax, acc, v_tgt, v_src = (np.empty(n) for _ in range(4))

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, ChecksumMismatch, MalformedNvx, NvxError, TruncatedFile, UnsupportedVersion
+from .errors import (BadMagic, ChannelMismatch, ChecksumMismatch, MalformedNvx, NvxError, TruncatedFile,
+                     UnsupportedVersion)
 from .grid import COORD_DTYPE, LATENT_DTYPE, SparseStructure, StructuredLatent, linear_index
 
 MAGIC = b"NVX1"
@@ -29,6 +30,7 @@ KIND_LATENT = 1
 _HEADER = struct.Struct("<BHI")
 _CHANS = struct.Struct("<H")
 _CRC = struct.Struct("<I")
+MAX_CHANNELS = 0xFFFF  # the channel field is a u16
 
 
 def _chunks(payload) -> list:
@@ -36,6 +38,8 @@ def _chunks(payload) -> list:
     latents (latent kind only) and the CRC chained over them."""
     # a latent is a SparseStructure too, so it must be tested first
     if isinstance(payload, StructuredLatent):
+        if payload.channels > MAX_CHANNELS:
+            raise ChannelMismatch(f"NVX stores at most {MAX_CHANNELS} latent channels, got {payload.channels}")
         kind, chans = KIND_LATENT, _CHANS.pack(payload.channels)
     elif isinstance(payload, SparseStructure):
         kind, chans = KIND_OCCUPANCY, b""

@@ -13,18 +13,16 @@ import abc
 import functools
 import hashlib
 import json
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from ._threads import helper
+from ._threads import ahead, helper
 from .errors import ChannelMismatch, EmptySlot, InstructionError, MissingSlot, SlotSyntaxError, UnknownAction
 from .grid import SparseStructure, StructuredLatent, check_resolution
 from .merge import DEFAULT_CONNECTIVITY, Threshold, slat_merge, voxel_merge
-from .nvx import write_nvx
+from .nvx import MAX_CHANNELS, write_nvx
 
 # --- instruction templating ---------------------------------------------
 
@@ -284,8 +282,8 @@ class MockGeneratorBackend(GeneratorBackend):
         self.channels = int(channels)
         if self.resolution < 8:
             raise ValueError(f"mock resolution must be >= 8 to hold the planted edit, got {self.resolution}")
-        if self.channels < 1:
-            raise ChannelMismatch("latent channel count must be >= 1")
+        if not 1 <= self.channels <= MAX_CHANNELS:
+            raise ChannelMismatch(f"latent channel count must be in [1, {MAX_CHANNELS}], got {self.channels}")
 
     def _base_grid(self, token: str) -> np.ndarray:
         rng = _rng(derive_seed("generate-base", token))
@@ -333,6 +331,8 @@ class MockFilterBackend(FilterBackend):
 
     def __init__(self, verdicts=(True,)):
         self.verdicts = [bool(v) for v in verdicts]
+        if not self.verdicts:
+            raise ValueError("the verdict script must hold at least one verdict")
 
     def judge(self, record: ManifestRecord) -> tuple[bool, str]:
         ok = self.verdicts[min(record.attempt - 1, len(self.verdicts) - 1)]
@@ -477,11 +477,12 @@ def run_pipeline(
 
     ``workers`` threads run samples, each with its own helper thread (see
     :func:`run_sample`), at most ``2 * workers`` samples ahead of the
-    manifest, so a long run builds no backlog; this thread appends each
-    record as soon as it and every lower-indexed record are done, so the
-    manifest bytes do not depend on ``workers``.  If a sample raises past its own failure handling (a
+    manifest (see :func:`_threads.ahead`), so a long run builds no
+    backlog; this thread appends each record as soon as it and every
+    lower-indexed record are done, so the manifest bytes do not depend on
+    ``workers``.  If a sample raises past its own failure handling (a
     crash, or Ctrl-C), the manifest keeps exactly the records before it:
-    samples not yet started are cancelled, the run waits for those in
+    ``ahead`` cancels the samples not yet started and waits for those in
     flight, and none of theirs is written.
     """
     if backends is None:
@@ -507,19 +508,10 @@ def run_pipeline(
             ref = image_refs[i] if image_refs else f"mock-image://{seed}/{i:06d}"
             yield SampleSpec(id=f"sample-{i:06d}", image_ref=ref, seed=derive_seed(seed, i))
 
-    def work(spec: SampleSpec) -> ManifestRecord:
-        return run_sample(spec, backends, out_dir, merge_policy, connectivity, max_attempts)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight = deque()
-        try:
-            for spec in specs():
-                if len(in_flight) == 2 * workers:
-                    append_record(manifest_path, in_flight.popleft().result())
-                in_flight.append(pool.submit(work, spec))
-            while in_flight:
-                append_record(manifest_path, in_flight.popleft().result())
-        finally:
-            for future in in_flight:
-                future.cancel()
+    # run_sample is looked up here, at run time, so a wrapper patched onto the module applies
+    samples = (functools.partial(run_sample, spec, backends, out_dir, merge_policy, connectivity, max_attempts)
+               for spec in specs())
+    with ahead(samples, workers) as records:
+        for record in records:
+            append_record(manifest_path, record)
     return manifest_path

@@ -497,8 +497,10 @@ def test_pipeline_run_rejects_bad_settings_before_writing(tmp_path, capsys):
     assert code == 0
     manifest = out_dir / "manifest.jsonl"
     before = manifest.read_bytes()
+    # NVX stores the channel count as a u16, so 65536 channels would fail every sample's write
     for flags in (("--workers", "0"), ("--workers", "-2"), ("--resolution", "4"), ("--resolution", "65536"),
-                  ("--channels", "0"), ("--max-attempts", "0"), ("--samples", "-1")):
+                  ("--channels", "0"), ("--resolution", "8", "--channels", "65536"), ("--max-attempts", "0"),
+                  ("--samples", "-1")):
         code, stdout, stderr = run_cli(capsys, *base, *flags)
         assert code == 1, flags
         assert stdout == "" and stderr.startswith("error:"), flags

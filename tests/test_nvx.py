@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from voxedit import SparseStructure, StructuredLatent, make_latent, make_sparse, read_nvx, write_nvx
 from voxedit.errors import (
     BadMagic,
+    ChannelMismatch,
     ChecksumMismatch,
     MalformedNvx,
     NvxError,
@@ -30,6 +31,19 @@ def random_latent(rng, resolution=16, channels=8):
     s = make_sparse(coords, resolution)
     lat = rng.standard_normal((s.voxel_sum, channels)).astype(np.float32)
     return make_latent(s.coords, lat, resolution)
+
+
+def test_write_refuses_more_channels_than_the_u16_field_holds(tmp_path):
+    s = make_sparse([(1, 2, 3), (7, 7, 7)], 8)
+    widest = make_latent(s.coords, np.ones((2, 0xFFFF), dtype=np.float32), 8)
+    write_nvx(widest, tmp_path / "widest.nvx")
+    assert read_nvx(tmp_path / "widest.nvx") == widest
+    too_wide = make_latent(s.coords, np.ones((2, 0x10000), dtype=np.float32), 8)
+    with pytest.raises(ChannelMismatch, match="at most 65535 latent channels, got 65536"):
+        write_nvx(too_wide, tmp_path / "too_wide.nvx")
+    assert not (tmp_path / "too_wide.nvx").exists()
+    with pytest.raises(ChannelMismatch):
+        encode_nvx(too_wide)
 
 
 def test_empty_structure_is_15_bytes(tmp_path):

@@ -179,6 +179,20 @@ def test_mock_generator_edit_token_plants_changes():
     assert d.voxel_sum > 0
 
 
+def test_mock_generator_rejects_more_channels_than_nvx_stores():
+    # NVX stores the channel count as a u16: past it, the backend is refused before any sample runs
+    with pytest.raises(ChannelMismatch, match="65535"):
+        MockGeneratorBackend(resolution=8, channels=0x10000)
+    assert MockGeneratorBackend(resolution=8, channels=0xFFFF).channels == 0xFFFF
+
+
+def test_mock_filter_rejects_an_empty_script():
+    # it would raise IndexError at every judge, failing every sample at the filter stage
+    for verdicts in ((), []):
+        with pytest.raises(ValueError, match="at least one verdict"):
+            mock_backend_suite(8, 1, verdicts=verdicts)
+
+
 def test_mock_generator_rejects_grids_too_small_for_the_edit():
     # too small for the edit, past the largest grid, or not an integer: refused before any R^3 allocation
     for resolution in (7, 65536, 16.5):
