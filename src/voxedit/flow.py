@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import abc
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._threads import ahead
 from .errors import DimensionMismatch, NonFiniteState
+from .grid import check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -37,31 +37,19 @@ class FlowEditConfig:
 
     def __post_init__(self):
         # the values may come from a --config file
-        for name in ("steps", "n_max", "n_min", "n_avg", "rng_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_int("steps", self.steps, 1)
+        check_int("n_max", self.n_max, 0, self.steps)
+        check_int("n_min", self.n_min, 0, self.n_max)
+        check_int("n_avg", self.n_avg, 1)
         # each seed in this range is its own noise key, so no two seeds draw the same noise
-        if not 0 <= self.rng_seed < 2**64:
-            raise ValueError(f"rng_seed must be in [0, 2**64), got {self.rng_seed}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if not (0 <= self.n_max <= self.steps):
-            raise ValueError("need 0 <= n_max <= steps")
-        if not (0 <= self.n_min <= self.n_max):
-            raise ValueError("need 0 <= n_min <= n_max")
-        if self.n_avg < 1:
-            raise ValueError("n_avg must be >= 1")
+        check_int("rng_seed", self.rng_seed, 0, 2**64 - 1)
         for name in ("cfg_source_scale", "cfg_target_scale", "lambda_src"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not np.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+            check_real(name, getattr(self, name))
 
 
 def linear_schedule(steps: int) -> np.ndarray:
     """Times t_0..t_N with t_i = i/N; t_0 = 0 (data), t_N = 1 (noise)."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = check_int("steps", steps, 1)
     return np.arange(steps + 1, dtype=np.float64) / steps
 
 
@@ -116,18 +104,26 @@ def _check_state(z, dim: int) -> np.ndarray:
     return z
 
 
+def _condition_vectors(values: dict, what: str) -> tuple[dict, int]:
+    """Each condition's vector as float64, all finite, and their one shared length."""
+    if not values:
+        raise ValueError(f"{what}: need at least one condition")
+    vectors = {c: np.asarray(x, dtype=np.float64).reshape(-1) for c, x in values.items()}
+    for c, x in vectors.items():
+        if not np.isfinite(x).all():
+            raise ValueError(f"{what} of condition {c!r} must be finite")
+    dims = {x.shape[0] for x in vectors.values()}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"{what} of mixed dimension {sorted(dims)}")
+    return vectors, dims.pop()
+
+
 class DeltaVelocityOracle(VelocityOracle):
     """Exact marginal velocity of the straight path to a single anchor:
     v(z, t, c) = (z - x_c) / t."""
 
     def __init__(self, anchors: dict):
-        if not anchors:
-            raise ValueError("need at least one condition anchor")
-        self.anchors = {c: np.asarray(x, dtype=np.float64).reshape(-1) for c, x in anchors.items()}
-        dims = {a.shape[0] for a in self.anchors.values()}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"anchors of mixed dimension {sorted(dims)}")
-        self.dim = dims.pop()
+        self.anchors, self.dim = _condition_vectors(anchors, "anchors")
 
     def evaluate(self, z, t, condition, conditioned=True):
         t = _check_time(t)
@@ -146,16 +142,10 @@ class AffineGaussianVelocityOracle(VelocityOracle):
     def __init__(self, means: dict, variances: dict):
         if set(means) != set(variances):
             raise ValueError("means and variances must cover the same conditions")
-        if not means:
-            raise ValueError("need at least one condition")
-        self.means = {c: np.asarray(m, dtype=np.float64).reshape(-1) for c, m in means.items()}
-        self.variances = {c: float(v) for c, v in variances.items()}
+        self.means, self.dim = _condition_vectors(means, "means")
+        self.variances = {c: check_real(f"variance of condition {c!r}", v) for c, v in variances.items()}
         if any(v <= 0 for v in self.variances.values()):
             raise ValueError("variances must be > 0")
-        dims = {m.shape[0] for m in self.means.values()}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"means of mixed dimension {sorted(dims)}")
-        self.dim = dims.pop()
 
     def posterior_mean(self, z, t, condition):
         t = _check_time(t)

@@ -6,6 +6,7 @@ total order is used everywhere: sorting, tie-breaking, and serialization.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -20,11 +21,25 @@ DEFAULT_RESOLUTION = 64
 MAX_RESOLUTION = 0xFFFF  # coords are stored as u16
 
 
+def check_int(name: str, value, lo: int | None, hi: int | None = None) -> int:
+    """``value`` as an int, if it is an integer in ``[lo, hi]`` (None: no bound).  It may
+    come from a flag, a file or a manifest: a bool, float or string raises, never truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (lo is not None and value < lo) or (hi is not None and value > hi)):
+        bounds = f" in [{lo}, {hi}]" if hi is not None else f" >= {lo}" if lo is not None else ""
+        raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float, if it is a finite real number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def check_resolution(resolution: int) -> int:
-    # it may come from a file: a non-integer raises instead of being truncated
-    if not isinstance(resolution, numbers.Integral) or not 2 <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must be an integer in [2, {MAX_RESOLUTION}], got {resolution!r}")
-    return int(resolution)
+    return check_int("resolution", resolution, 2, MAX_RESOLUTION)
 
 
 def linear_index(coords: np.ndarray, resolution: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from .errors import ChannelMismatch, MissingLatent
 from .grid import (
     SparseStructure,
     StructuredLatent,
+    check_int,
     coords_from_linear,
     membership,
     require_same_resolution,
@@ -41,8 +42,7 @@ class TopK:
     k: int
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
+        check_int("k", self.k, 0)
 
     def describe(self) -> dict:
         return {"kind": "top_k", "k": self.k}
@@ -53,8 +53,7 @@ class Threshold:
     tau: int = DEFAULT_TAU
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        check_int("tau", self.tau, 0)
 
     def describe(self) -> dict:
         return {"kind": "threshold", "tau": self.tau}

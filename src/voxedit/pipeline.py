@@ -20,7 +20,7 @@ import numpy as np
 
 from ._threads import ahead, helper
 from .errors import ChannelMismatch, EmptySlot, InstructionError, MissingSlot, SlotSyntaxError, UnknownAction
-from .grid import SparseStructure, StructuredLatent, check_resolution
+from .grid import SparseStructure, StructuredLatent, check_int, check_resolution
 from .merge import DEFAULT_CONNECTIVITY, Threshold, slat_merge, voxel_merge
 from .nvx import MAX_CHANNELS, write_nvx
 
@@ -111,8 +111,7 @@ class ManifestRecord:
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
-        if self.attempt < 1:
-            raise ValueError("attempt must be >= 1")
+        check_int("attempt", self.attempt, 1)
 
     def to_json_dict(self) -> dict:
         out = {name: getattr(self, name) for name in _RECORD_FIELDS}
@@ -279,7 +278,8 @@ class MockGeneratorBackend(GeneratorBackend):
 
     def __init__(self, resolution: int = 32, channels: int = 8):
         self.resolution = check_resolution(resolution)
-        self.channels = int(channels)
+        # the type only: a count out of range is a ChannelMismatch
+        self.channels = check_int("channels", channels, None)
         if self.resolution < 8:
             raise ValueError(f"mock resolution must be >= 8 to hold the planted edit, got {self.resolution}")
         if not 1 <= self.channels <= MAX_CHANNELS:
@@ -376,8 +376,7 @@ def run_sample(
     in turn would give: a failure is reported at the first stage that
     fails in that order.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
+    check_int("max_attempts", max_attempts, 1)
     if merge_policy is None:
         merge_policy = Threshold()
     out_dir = Path(out_dir)
@@ -485,19 +484,16 @@ def run_pipeline(
     ``ahead`` cancels the samples not yet started and waits for those in
     flight, and none of theirs is written.
     """
+    check_int("n_samples", n_samples, 0)
+    check_int("workers", workers, 1)
+    check_int("max_attempts", max_attempts, 1)
     if backends is None:
         backends = mock_backend_suite()
     if image_refs is not None and len(image_refs) < n_samples:
         raise ValueError(f"{len(image_refs)} image refs for {n_samples} samples")
-    if Path(manifest_name).name != manifest_name:
-        # record paths are relative to the manifest, so it must sit in out_dir
+    if Path(manifest_name).name != manifest_name or manifest_name in ("", ".."):
+        # record paths are relative to the manifest, so it must be a file in out_dir
         raise ValueError(f"manifest name must be a bare filename, got {manifest_name!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / manifest_name

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -470,8 +471,32 @@ def test_flow_commands_take_seeds_in_the_same_range(capsys):
         argv = [command, "--oracle", "gaussian", "--src-mean", "0,1", "--tgt-mean", "2,3", *extra]
         for seed in (-1, 2**64, 2**64 + 3):
             result = run_cli(capsys, *argv, "--seed", str(seed))
-            assert result == (1, "", f"error: ValueError: rng_seed must be in [0, 2**64), got {seed}\n"), command
+            assert result == (1, "", f"error: ValueError: rng_seed must be an integer in [0, {2**64 - 1}], "
+                                     f"got {seed}\n"), command
         assert run_cli(capsys, *argv, "--seed", str(2**64 - 1))[0] == 0, command
+
+
+def test_flow_commands_reject_non_finite_oracle_parameters(capsys):
+    """A non-finite oracle parameter is refused before the run starts, with
+    one error line and no numpy warning, instead of failing steps later."""
+    for flags in (("--oracle", "gaussian", "--src-var", "nan"), ("--oracle", "gaussian", "--src-var", "inf"),
+                  ("--oracle", "delta", "--src-anchor", "inf")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run_cli(capsys, "flowedit", *flags, "--x0", "0.5", "--seed", "1")
+        assert (code, stdout) == (1, ""), flags
+        assert stderr.startswith("error: ValueError: ") and stderr.count("\n") == 1, flags
+        assert caught == [], flags
+
+
+def test_pipeline_run_refuses_a_manifest_name_that_is_not_a_file(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    for name in ("", ".", ".."):
+        code, stdout, stderr = run_cli(capsys, "pipeline", "run", "--out-dir", str(out_dir), "--manifest", name,
+                                       "--samples", "1", "--seed", "1", "--resolution", "16")
+        assert (code, stdout) == (1, ""), name
+        assert stderr == f"error: ValueError: manifest name must be a bare filename, got {name!r}\n", name
+        assert not out_dir.exists(), name
 
 
 def test_pipeline_run_command(tmp_path, capsys):

@@ -127,6 +127,35 @@ def test_delta_velocity_formula():
     assert oracle.evaluate(np.array([1.0]), 0.5, "c")[0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: DeltaVelocityOracle({"src": [0.0, 1.0], "tgt": [v, 0.0]}),
+    lambda v: AffineGaussianVelocityOracle({"src": [0.0], "tgt": [v]}, {"src": 1.0, "tgt": 1.0}),
+    lambda v: AffineGaussianVelocityOracle({"src": [0.0], "tgt": [1.0]}, {"src": 1.0, "tgt": v}),
+])
+def test_oracles_reject_non_finite_parameters(make):
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="'tgt'"):
+            make(bad)
+    make(0.5)
+
+
+def test_oracles_need_conditions_of_one_dimension():
+    for make in (DeltaVelocityOracle, lambda m: AffineGaussianVelocityOracle(m, dict.fromkeys(m, 1.0))):
+        with pytest.raises(ValueError, match="at least one condition"):
+            make({})
+        with pytest.raises(DimensionMismatch, match=r"mixed dimension \[1, 2\]"):
+            make({"a": [0.0], "b": [0.0, 1.0]})
+
+
+def test_gaussian_variances_are_finite_positive_reals():
+    for bad in (True, "2", None, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="variance of condition 'c'"):
+            AffineGaussianVelocityOracle({"c": [0.0]}, {"c": bad})
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="variances must be > 0"):
+            AffineGaussianVelocityOracle({"c": [0.0]}, {"c": bad})
+
+
 def test_delta_rejects_nonpositive_time():
     oracle = DeltaVelocityOracle({"c": np.array([0.0])})
     for t in (0.0, -0.5):

@@ -133,6 +133,17 @@ def test_manifest_malformed_line_reported(tmp_path):
     assert malformed[0].line_no == 5
 
 
+def test_manifest_lines_whose_attempt_is_not_a_count_are_malformed(tmp_path):
+    path = tmp_path / "m.jsonl"
+    good = json.loads(record_to_line(sample_record()))
+    lines = [json.dumps(good | {"attempt": bad}) for bad in (1.5, True, "2", 0)]
+    path.write_text("\n".join([json.dumps(good), *lines]) + "\n")
+    loaded, malformed = load_manifest(path)
+    assert loaded == [sample_record()]
+    assert [m.line_no for m in malformed] == [2, 3, 4, 5]
+    assert all("attempt" in m.message for m in malformed)
+
+
 def test_manifest_unknown_fields_preserved(tmp_path):
     path = tmp_path / "m.jsonl"
     obj = json.loads(record_to_line(sample_record()))
@@ -513,6 +524,23 @@ def test_pipeline_rejects_manifest_with_directories(tmp_path):
     with pytest.raises(ValueError):
         run_pipeline(tmp_path, n_samples=1, seed=0, backends=mock_backend_suite(16, 4),
                      manifest_name="sub/dir.jsonl")
+
+
+def test_pipeline_rejects_bad_arguments_before_writing(tmp_path):
+    out_dir = tmp_path / "run"
+    manifest = run_pipeline(out_dir, n_samples=1, seed=0, backends=mock_backend_suite(16, 4))
+    before = manifest.read_bytes()
+    for bad, named in (({"n_samples": 2.5}, "n_samples"), ({"workers": 1.5}, "workers"),
+                       ({"max_attempts": True}, "max_attempts"), ({"manifest_name": ".."}, "manifest name"),
+                       ({"manifest_name": "."}, "manifest name"), ({"manifest_name": ""}, "manifest name")):
+        kwargs = {"n_samples": 1, "seed": 0, "backends": mock_backend_suite(16, 4)} | bad
+        with pytest.raises(ValueError, match=named):
+            run_pipeline(out_dir, **kwargs)
+        # an earlier run's manifest is neither truncated nor appended to
+        assert manifest.read_bytes() == before, bad
+        with pytest.raises(ValueError):
+            run_pipeline(tmp_path / "fresh", **kwargs)
+        assert not (tmp_path / "fresh").exists(), bad
 
 
 def test_pipeline_topk_policy(tmp_path):
