@@ -28,6 +28,15 @@ CONNECTIVITIES = (6, 18, 26)
 DEFAULT_CONNECTIVITY = 26
 DEFAULT_TAU = 100
 
+
+def check_connectivity(connectivity) -> int:
+    """``connectivity`` as an int, if it is one of ``CONNECTIVITIES``."""
+    connectivity = check_int("connectivity", connectivity, None)
+    if connectivity not in CONNECTIVITIES:
+        raise ValueError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
+    return connectivity
+
+
 # (dx, dy, slack) per forward row step: a run joins the runs of row
 # (x + dx, y + dy) whose z-ranges overlap its own widened by the slack
 _ROW_STEPS = {
@@ -113,8 +122,7 @@ def label_components(d: SparseStructure, connectivity: int = DEFAULT_CONNECTIVIT
     joined by hooking and pointer jumping (Shiloach & Vishkin, 1982), so
     time and memory follow the voxel count, not the grid or the box.
     """
-    if connectivity not in CONNECTIVITIES:
-        raise ValueError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
+    connectivity = check_connectivity(connectivity)
     if d.voxel_sum == 0:
         return ComponentSet(d.resolution, connectivity, d.coords, np.empty(0, dtype=np.int64), [])
 
@@ -124,12 +132,17 @@ def label_components(d: SparseStructure, connectivity: int = DEFAULT_CONNECTIVIT
     starts = np.empty(len(key), dtype=bool)
     starts[0] = True
     np.not_equal(np.diff(key), 1, out=starts[1:])
-    starts |= key % r == 0
+    # z = 0 where the key is a multiple of R; floor division and a product,
+    # not % or divmod (see grid.coords_from_linear)
+    row = key // r  # x * R + y
+    starts |= row * r == key
+    row = row[starts]
     first = key[starts]
     lens = np.diff(np.flatnonzero(starts), append=len(key))
     last = first + (lens - 1)
-    row, z0 = np.divmod(first, r)  # row = x * R + y
-    x, y = np.divmod(row, r)
+    z0 = first - row * r
+    x = row // r
+    y = row - x * r
     z1 = z0 + (lens - 1)
 
     root = np.arange(len(first))

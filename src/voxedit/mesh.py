@@ -34,13 +34,18 @@ bounds, a power-of-two R, vertices on multiples of half a cell) the result
 equals the scalar brute force in ``tests/oracles.py``; elsewhere a cell
 that a triangle touches exactly may fall either way, by rounding.
 
-Surface export finds every exposed face in one pass over the six face
-directions.  Each face's four corners get integer keys, a per-voxel base
-key plus a per-direction offset; one sort of the keys groups equal
-corners, and the smallest position in each group is the corner's first
-use, which numbers the vertices.  ``save_obj`` writes the same bytes as
-one ``%.9g`` / ``%d`` record per line, through one record writer that
-gathers each line's fields from a table built per call and drops the
+Surface export finds every exposed face in one pass over the three axes:
+a lookup of the key shifted by one x or y step finds both faces a pair of
+x or y neighbours share, and along z, where neighbours are adjacent in
+the sorted key, a comparison of consecutive keys does.  Each face's four
+corners get integer keys, a per-voxel base key plus a per-direction
+offset.  One in-place sort of each key shifted left past its position
+bits, ORed with its position, groups equal corners with their positions
+ascending, so each group's first element is the corner's first use,
+which numbers the vertices; a stable argsort of the keys takes over when
+the packed value would not fit in 63 bits.  ``save_obj`` writes the same
+bytes as one ``%.9g`` / ``%d`` record per line, through one record writer
+that gathers each line's fields from a table built per call and drops the
 padding with one boolean mask.  The vertex table holds one row per
 distinct float64 bit pattern, formatted once with ``%.9g``; the face table
 holds the digits of every index 1..V at the width of V.
@@ -52,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyBounds, NonFiniteGeometry
-from .grid import SparseStructure, _sorted_unique, check_resolution, membership, sparse_from_linear
+from .grid import SparseStructure, _run_starts, _sorted_unique, check_resolution, membership, sparse_from_linear
 
 BOUNDS_MARGIN = 1e-6
 
@@ -297,7 +302,7 @@ def voxelize_mesh(mesh: TriMesh, resolution: int, bounds=None) -> SparseStructur
 
 
 # Quad corner offsets per face direction, wound counter-clockwise viewed
-# from outside the cube.
+# from outside the cube; per axis, the + face comes first.
 _FACES = {
     (1, 0, 0): ((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)),
     (-1, 0, 0): ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0)),
@@ -306,22 +311,52 @@ _FACES = {
     (0, 0, 1): ((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)),
     (0, 0, -1): ((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)),
 }
-_FACE_DIRS = np.array(list(_FACES), dtype=np.int64)            # (6, 3)
 _FACE_QUADS = np.array(list(_FACES.values()), dtype=np.int64)  # (6, 4, 3)
 
 
 def _exposed_faces(s: SparseStructure) -> np.ndarray:
     """``(N, 6)`` mask, in ``_FACES`` order: is the face-adjacent neighbour
-    of each occupied cell empty or outside the grid."""
+    of each occupied cell empty or outside the grid.
+
+    Each axis finds the pairs (i, j) whose cell j is i's neighbour on the
+    positive side; that hides i's positive face and j's negative one.  The
+    key is sorted and unique, so along z, j is i + 1 where
+    ``key[i + 1] == key[i] + 1`` and ``z < R - 1``; along x and y, j is
+    looked up."""
     r = s.resolution
     lin = s.key
-    exposed = np.empty((len(lin), len(_FACE_DIRS)), dtype=bool)
-    for f, step in enumerate(_FACE_DIRS):
-        axis = int(np.flatnonzero(step)[0])
-        inside = s.coords[:, axis] < r - 1 if step[axis] > 0 else s.coords[:, axis] > 0
-        occupied, _ = membership(lin, lin + int(step[0] * r * r + step[1] * r + step[2]))
-        exposed[:, f] = ~(inside & occupied)
+    exposed = np.ones((len(lin), len(_FACES)), dtype=bool)
+    for axis, stride in enumerate((r * r, r, 1)):
+        inside = s.coords[:, axis] < r - 1
+        if stride == 1:
+            lower = np.flatnonzero((np.diff(lin) == 1) & inside[:-1])
+            upper = lower + 1
+        else:
+            occupied, pos = membership(lin, lin + stride)
+            lower = np.flatnonzero(occupied & inside)
+            upper = pos.take(lower)
+        exposed[lower, 2 * axis] = False
+        exposed[upper, 2 * axis + 1] = False
     return exposed
+
+
+# The packed sort of ``extract_surface_mesh`` holds a corner key and its
+# position in one int64; past this many bits it sorts the keys alone.
+_PACK_BITS = 63
+
+
+def _corner_keys(s: SparseStructure, side: int) -> np.ndarray:
+    """The key ``(x * side + y) * side + z`` of each corner of each exposed
+    face, four per face, faces in ``extract_surface_mesh``'s order."""
+    pair = np.flatnonzero(_exposed_faces(s))  # voxel * 6 + face
+    voxel = pair // len(_FACES)
+    face = pair - voxel * len(_FACES)
+    c = s.coords.astype(np.int64)
+    base = (c[:, 0] * side + c[:, 1]) * side + c[:, 2]   # key of each voxel's (0, 0, 0) corner
+    offset = _FACE_QUADS @ np.array([side * side, side, 1])  # (6, 4) corner key offsets
+    key = offset.take(face, axis=0)
+    key += base.take(voxel)[:, None]
+    return key.reshape(-1)
 
 
 def extract_surface_mesh(s: SparseStructure) -> TriMesh:
@@ -329,31 +364,47 @@ def extract_surface_mesh(s: SparseStructure) -> TriMesh:
     grid corner position, so each connected component is watertight.
 
     Faces come voxel by voxel in linear-index order, and within a voxel in
-    ``_FACES`` order; vertices are numbered by their first use."""
-    voxel, face = np.nonzero(_exposed_faces(s))
-    side = s.resolution + 1
-    c = s.coords.astype(np.int64)
-    base = (c[:, 0] * side + c[:, 1]) * side + c[:, 2]   # key of each voxel's (0, 0, 0) corner
-    offset = _FACE_QUADS @ np.array([side * side, side, 1])  # (6, 4) corner key offsets
-    key = (base[voxel, None] + offset[face]).reshape(-1)
-    order = np.argsort(key)
-    ordered = key[order]
-    new = np.empty(len(key), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    # equal keys sit together in ``order``, in no particular order among
-    # themselves; the smallest position in each run is the corner's first use
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
-    is_first = np.zeros(len(key), dtype=bool)
-    is_first[first] = True
-    number = np.cumsum(is_first) - 1  # vertex number at each first use
-    vid = np.empty(len(key), dtype=np.int64)
-    vid[order] = number[first][np.cumsum(new) - 1]
+    ``_FACES`` order; vertices are numbered by their first use.
 
-    corner = key[is_first]
-    vertices = np.stack([corner // (side * side), corner // side % side, corner % side], axis=1)
+    Each face's four corners get an integer key.  One in-place sort of
+    ``key << b | position`` (``b`` bits hold every position) puts equal
+    corners together with their positions ascending, so each run's first
+    element is the corner's first use.  When the packed value would not fit
+    in ``_PACK_BITS`` bits, a stable argsort of the keys gives the same
+    order."""
+    side = s.resolution + 1
+    key = _corner_keys(s, side)
+    n = len(key)
+    bits = max(n - 1, 0).bit_length()
+    if int(key.max(initial=0)).bit_length() + bits <= _PACK_BITS:
+        order = key << bits
+        order |= np.arange(n)
+        order.sort()
+        new = _run_starts(order >> bits)
+        order &= (1 << bits) - 1
+    else:
+        order = np.argsort(key, kind="stable")
+        new = _run_starts(key.take(order))
+    # vertices are numbered in the order of their first uses
+    start = np.flatnonzero(new)
+    first = order.take(start)
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    vid = np.empty(n, dtype=np.int64)
+    vid[np.flatnonzero(is_first)] = np.arange(len(first))
+    number = vid.take(first)  # vertex number of each run
+    vid[order] = np.repeat(number, np.diff(start, append=n))
+
+    # floor division and a product, not % (see grid.coords_from_linear)
+    corner = key.compress(is_first)
+    vertices = np.empty((len(corner), 3))
+    xy = corner // side  # x * side + y
+    vertices[:, 2] = corner - xy * side
+    vertices[:, 0] = x = xy // side
+    vertices[:, 1] = xy - x * side
+    # 2-D fancy indexing: 4x faster here than take(..., axis=1) over 4 columns
     triangles = vid.reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
-    return TriMesh(vertices=vertices.astype(np.float64), triangles=triangles)
+    return TriMesh(vertices=vertices, triangles=triangles)
 
 
 def _index_fields(n: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from ._threads import ahead, helper
 from .errors import ChannelMismatch, EmptySlot, InstructionError, MissingSlot, SlotSyntaxError, UnknownAction
 from .grid import SparseStructure, StructuredLatent, check_int, check_resolution
-from .merge import DEFAULT_CONNECTIVITY, Threshold, slat_merge, voxel_merge
+from .merge import DEFAULT_CONNECTIVITY, Threshold, check_connectivity, slat_merge, voxel_merge
 from .nvx import MAX_CHANNELS, write_nvx
 
 # --- instruction templating ---------------------------------------------
@@ -487,6 +487,10 @@ def run_pipeline(
     check_int("n_samples", n_samples, 0)
     check_int("workers", workers, 1)
     check_int("max_attempts", max_attempts, 1)
+    # each record holds the connectivity, and str(seed) names each sample's data,
+    # so 6.0 or True would change the manifest's bytes where 6 or 1 would not
+    connectivity = check_connectivity(connectivity)
+    seed = check_int("seed", seed, None)
     if backends is None:
         backends = mock_backend_suite()
     if image_refs is not None and len(image_refs) < n_samples:

@@ -5,22 +5,23 @@ no code with the package: dense brute force, BFS flood fill, scalar SAT,
 quadratic scans, the per-triangle and per-voxel loops the mesh layer used
 before it was vectorised, the batched SAT over every cell of each
 triangle's bounding box that it ran before it pruned columns, the
-one-array-per-component labelling the merge layer used before its flat
-layout, the NVX codec that staged whole files in copied buffers before
-the codec streamed its parts, the linear-index formula that built three
-int64 temporaries, the Chamfer that queried every voxel on balanced
-KD-trees, the ``np.unique`` canonicalization that ``make_sparse`` ran
-before it deduplicated by sort and compare, the Slat-Merge that
-gathered each side through a boolean row mask before it built its output
-in one gather, the key-to-coords decode that stacked int64 divmod
-results, the FlowEdit loop that drew each noise sample inline and
-combined the velocities in fresh temporaries, and the dense grid and
-per-component split that the library no longer provides.  The exceptions
-are the pipeline sample that runs its stages in turn and the CLI commands
-that read their inputs in turn: they orchestrate the package's own
-merges, codec, records and command helpers, and are the references for
-the order in which the concurrent ``run_sample`` and CLI commands report
-them.
+surface export that grouped corners by ``argsort`` and ``reduceat``
+before its packed sort, the one-array-per-component labelling the merge
+layer used before its flat layout, the NVX codec that staged whole files
+in copied buffers before the codec streamed its parts, the linear-index
+formula that built three int64 temporaries, the Chamfer that queried
+every voxel on balanced KD-trees, the ``np.unique`` canonicalization
+that ``make_sparse`` ran before it deduplicated by sort and compare, the
+Slat-Merge that gathered each side through a boolean row mask before it
+built its output in one gather, the key-to-coords decode that stacked
+int64 divmod results, the FlowEdit loop that drew each noise sample
+inline and combined the velocities in fresh temporaries, and the dense
+grid and per-component split that the library no longer provides.  The
+exceptions are the pipeline sample that runs its stages in turn and the
+CLI commands that read their inputs in turn: they orchestrate the
+package's own merges, codec, records and command helpers, and are the
+references for the order in which the concurrent ``run_sample`` and CLI
+commands report them.
 """
 from __future__ import annotations
 
@@ -380,6 +381,47 @@ def surface_mesh_loop(coords, resolution):
     vertices = np.array(verts, dtype=np.float64).reshape(-1, 3)
     triangles = np.array(tris, dtype=np.int64).reshape(-1, 3)
     return vertices, triangles
+
+
+def extract_surface_mesh_argsort(s):
+    """The vectorised surface export before its packed sort: one
+    ``searchsorted`` per face direction finds the exposed faces, an
+    ``argsort`` of the corner keys groups equal corners, and
+    ``minimum.reduceat`` finds each group's first use.  Returns
+    (vertices, triangles)."""
+    r = s.resolution
+    lin = s.key
+    dirs = np.array(list(_CUBE_FACES), dtype=np.int64)
+    quads = np.array(list(_CUBE_FACES.values()), dtype=np.int64)
+    exposed = np.empty((len(lin), len(dirs)), dtype=bool)
+    for f, step in enumerate(dirs):
+        axis = int(np.flatnonzero(step)[0])
+        inside = s.coords[:, axis] < r - 1 if step[axis] > 0 else s.coords[:, axis] > 0
+        query = lin + int(step[0] * r * r + step[1] * r + step[2])
+        pos = np.minimum(np.searchsorted(lin, query), max(len(lin) - 1, 0))
+        occupied = lin[pos] == query if len(lin) else np.zeros(0, dtype=bool)
+        exposed[:, f] = ~(inside & occupied)
+    voxel, face = np.nonzero(exposed)
+    side = r + 1
+    c = s.coords.astype(np.int64)
+    base = (c[:, 0] * side + c[:, 1]) * side + c[:, 2]
+    offset = quads @ np.array([side * side, side, 1])
+    key = (base[voxel, None] + offset[face]).reshape(-1)
+    order = np.argsort(key)
+    ordered = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    is_first = np.zeros(len(key), dtype=bool)
+    is_first[first] = True
+    number = np.cumsum(is_first) - 1
+    vid = np.empty(len(key), dtype=np.int64)
+    vid[order] = number[first][np.cumsum(new) - 1]
+    corner = key[is_first]
+    vertices = np.stack([corner // (side * side), corner // side % side, corner % side], axis=1)
+    triangles = vid.reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    return vertices.astype(np.float64), triangles
 
 
 def save_obj_loop(vertices, triangles, path) -> None:

@@ -92,8 +92,10 @@ def test_edge_adjacency_enters_at_18():
 
 def test_invalid_connectivity():
     d = diff_xor(make_sparse([], 4), make_sparse([(0, 0, 0)], 4))
-    with pytest.raises(ValueError):
-        label_components(d, 10)
+    for bad in (10, 6.0, True, "6"):
+        with pytest.raises(ValueError, match="connectivity"):
+            label_components(d, bad)
+    assert label_components(d, np.int64(6)).connectivity == 6
 
 
 def test_labeling_matches_bfs_oracle():

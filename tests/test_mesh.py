@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxedit import TriMesh, extract_surface_mesh, load_obj, make_mesh, make_sparse, save_obj, voxelize_mesh
@@ -12,6 +12,7 @@ from voxedit.errors import EmptyBounds, NonFiniteGeometry
 
 from oracles import (
     dense,
+    extract_surface_mesh_argsort,
     random_structure_coords,
     save_obj_loop,
     surface_mesh_loop,
@@ -538,6 +539,87 @@ def drawn_structures(draw):
 @given(s=drawn_structures())
 def test_surface_equals_loop_reference_on_drawn_structures(s):
     assert_surface_equals_loop(s)
+
+
+def assert_surface_equals_argsort(s):
+    """Bit for bit: the same vertex and triangle arrays, dtypes and shapes."""
+    mesh = extract_surface_mesh(s)
+    verts, tris = extract_surface_mesh_argsort(s)
+    assert mesh.vertices.dtype == verts.dtype == np.float64
+    assert mesh.triangles.dtype == tris.dtype == np.int64
+    assert mesh.vertices.shape == verts.shape and mesh.triangles.shape == tris.shape
+    assert mesh.vertices.tobytes() == verts.tobytes()
+    assert mesh.triangles.tobytes() == tris.tobytes()
+
+
+def packed_bits(s) -> int:
+    """The bits ``extract_surface_mesh``'s packed sort needs for ``s``: the
+    largest corner key's and those of the largest corner position."""
+    verts, tris = extract_surface_mesh_argsort(s)
+    side = s.resolution + 1
+    top = int(((verts[:, 0] * side + verts[:, 1]) * side + verts[:, 2]).max(initial=0))
+    return top.bit_length() + max(2 * len(tris) - 1, 0).bit_length()
+
+
+R2 = [(x, y, z) for x in range(2) for y in range(2) for z in range(2)]
+
+
+# 0 bits send every structure that has a corner to the stable argsort
+@pytest.mark.parametrize("pack_bits", [mesh_module._PACK_BITS, 0])
+@settings(max_examples=60, deadline=None)
+@given(s=drawn_structures())
+@example(s=make_sparse([], 8))
+@example(s=make_sparse([(0, 0, 0)], 2))
+@example(s=make_sparse([(16, 0, 9)], 17))
+@example(s=make_sparse(R2, 2))
+@example(s=make_sparse(R2[:5], 2))
+@example(s=make_sparse([(x, y, z) for x in range(5) for y in range(5) for z in range(5)], 5))
+@example(s=make_sparse([(x, y, z) for x in (2, 3) for y in range(9) for z in range(9)], 9))
+def test_surface_equals_argsort_reference_at_either_bit_budget(pack_bits, s):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_PACK_BITS", pack_bits)
+        assert_surface_equals_argsort(s)
+
+
+def test_surface_packs_up_to_the_last_bit_of_its_budget(monkeypatch):
+    # at exactly the bits it needs the sort packs; one bit less, it argsorts
+    for s in surface_cases()[1:]:
+        need = packed_bits(s)
+        for pack_bits in (need, need - 1):
+            monkeypatch.setattr(mesh_module, "_PACK_BITS", pack_bits)
+            assert_surface_equals_argsort(s)
+
+
+def test_surface_of_a_large_shell_at_the_largest_resolution():
+    # isolated voxels spread over R = 65535: 48-bit corner keys and more
+    # than 2^15 corners, so the default budget of 63 bits takes the argsort
+    rng = np.random.default_rng(16)
+    coords = 2 * rng.integers(0, 32768, size=(1400, 3))
+    coords[0] = (65534, 65534, 65534)
+    s = make_sparse(coords, 65535)
+    assert packed_bits(s) > mesh_module._PACK_BITS
+    assert_surface_equals_argsort(s)
+    verts, tris = surface_mesh_loop(s.coords, s.resolution)
+    mesh = extract_surface_mesh(s)
+    assert np.array_equal(mesh.vertices, verts) and np.array_equal(mesh.triangles, tris)
+
+
+def test_surface_peak_memory_is_at_most_the_argsort_reference():
+    # a spherical shell of about 12k voxels, the size mesh-ingest exports
+    r = 64
+    x, y, z = np.indices((r, r, r)) - (r - 1) / 2
+    radius = np.sqrt(x * x + y * y + z * z)
+    s = make_sparse(np.argwhere((radius > 19) & (radius < 22)), r)
+    peaks = []
+    for extract in (extract_surface_mesh, extract_surface_mesh_argsort):
+        tracemalloc.start()
+        try:
+            extract(s)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert s.voxel_sum > 10_000
+    assert peaks[0] <= peaks[1]
 
 
 # --- OBJ io --------------------------------------------------------------

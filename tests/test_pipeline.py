@@ -532,7 +532,10 @@ def test_pipeline_rejects_bad_arguments_before_writing(tmp_path):
     before = manifest.read_bytes()
     for bad, named in (({"n_samples": 2.5}, "n_samples"), ({"workers": 1.5}, "workers"),
                        ({"max_attempts": True}, "max_attempts"), ({"manifest_name": ".."}, "manifest name"),
-                       ({"manifest_name": "."}, "manifest name"), ({"manifest_name": ""}, "manifest name")):
+                       ({"manifest_name": "."}, "manifest name"), ({"manifest_name": ""}, "manifest name"),
+                       ({"connectivity": 7}, "connectivity"), ({"connectivity": 6.0}, "connectivity"),
+                       ({"connectivity": True}, "connectivity"), ({"seed": 1.0}, "seed"),
+                       ({"seed": True}, "seed"), ({"seed": "1"}, "seed")):
         kwargs = {"n_samples": 1, "seed": 0, "backends": mock_backend_suite(16, 4)} | bad
         with pytest.raises(ValueError, match=named):
             run_pipeline(out_dir, **kwargs)
