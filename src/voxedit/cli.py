@@ -104,11 +104,15 @@ def _read_mask(path) -> FlipMask:
     obj = _read_json_object(path, "mask report")
     sizes = obj.get("selected_sizes", []), obj.get("component_sizes", [])
     if not all(type(v) is list for v in sizes):
-        raise ValueError("mask report fields 'selected_sizes' and 'component_sizes' must be lists")
+        raise ValueError(f"mask report {path}: fields 'selected_sizes' and 'component_sizes' must be lists")
     for name in ("resolution", "coords"):
         if name not in obj:
             raise ValueError(f"mask report {path} lacks field {name!r}")
-    s = make_sparse(obj["coords"], obj["resolution"])
+    try:
+        s = make_sparse(obj["coords"], obj["resolution"])
+    except (ValueError, VoxeditError) as exc:  # the same type, its message led by the file
+        exc.args = (f"mask report {path}: {exc}",)
+        raise
     return FlipMask(resolution=s.resolution, coords=s.coords, key=s.key,
                     selected_sizes=tuple(sizes[0]), component_sizes=tuple(sizes[1]))
 
@@ -126,38 +130,34 @@ def _vector(text: str) -> np.ndarray:
 # --- subcommand handlers -----------------------------------------------
 
 
-def cmd_voxelize(args) -> int:
+def cmd_voxelize(args) -> dict:
     mesh = load_obj(args.mesh)
     bounds = None if args.bounds is None else (args.bounds[:3], args.bounds[3:])
     s = voxelize_mesh(mesh, args.resolution, bounds)
     write_nvx(s, args.out)
-    _emit({"out": str(args.out), "resolution": s.resolution, "voxel_sum": s.voxel_sum})
-    return 0
+    return {"out": str(args.out), "resolution": s.resolution, "voxel_sum": s.voxel_sum}
 
 
-def cmd_surface(args) -> int:
+def cmd_surface(args) -> dict:
     s = _read_structure(args.input)
     mesh = extract_surface_mesh(s)
     save_obj(mesh, args.out)
-    _emit({"out": str(args.out), "vertices": mesh.num_vertices, "triangles": mesh.num_triangles})
-    return 0
+    return {"out": str(args.out), "vertices": mesh.num_vertices, "triangles": mesh.num_triangles}
 
 
-def cmd_diff(args) -> int:
+def cmd_diff(args) -> dict:
     d = diff_xor(*_read_inputs(lambda: _read_structure(args.src), lambda: _read_structure(args.tgt)))
     if args.out:
         write_nvx(d, args.out)
-    _emit({"diff_size": d.voxel_sum, "out": str(args.out) if args.out else None})
-    return 0
+    return {"diff_size": d.voxel_sum, "out": str(args.out) if args.out else None}
 
 
-def cmd_components(args) -> int:
+def cmd_components(args) -> dict:
     cs = label_components(_read_structure(args.input), args.connectivity)
-    _emit({"connectivity": cs.connectivity, "count": len(cs.sizes), "sizes": cs.sizes})
-    return 0
+    return {"connectivity": cs.connectivity, "count": len(cs.sizes), "sizes": cs.sizes}
 
 
-def cmd_merge(args) -> int:
+def cmd_merge(args) -> dict:
     s_src, s_tgt = _read_inputs(lambda: _read_structure(args.src), lambda: _read_structure(args.tgt))
     policy = _policy_from_args(args)
     merged, mask = voxel_merge(s_src, s_tgt, args.connectivity, policy)
@@ -171,18 +171,17 @@ def cmd_merge(args) -> int:
     written.result()
     if args.mask_out:
         Path(args.mask_out).write_text(report.result() + "\n", encoding="utf-8")
-    _emit({
+    return {
         "out": str(args.out),
         "mask_out": str(args.mask_out) if args.mask_out else None,
         "diff_size": sum(mask.component_sizes),
         "component_sizes": list(mask.component_sizes),
         "selected_sizes": list(mask.selected_sizes),
         "merged_voxel_sum": merged.voxel_sum,
-    })
-    return 0
+    }
 
 
-def cmd_slat_merge(args) -> int:
+def cmd_slat_merge(args) -> dict:
     reads = [lambda: _read_latent(args.src_slat), lambda: _read_latent(args.tgt_slat),
              lambda: _read_structure(args.merged)]
     if not args.mask_all:
@@ -191,9 +190,8 @@ def cmd_slat_merge(args) -> int:
     mask = mask_all(merged) if args.mask_all else mask[0]
     out = slat_merge(z_src, z_tgt, mask, merged)
     write_nvx(out, args.out)
-    _emit({"out": str(args.out), "voxel_sum": out.voxel_sum, "channels": out.channels,
-           "mask_size": mask.voxel_sum})
-    return 0
+    return {"out": str(args.out), "voxel_sum": out.voxel_sum, "channels": out.channels,
+            "mask_size": mask.voxel_sum}
 
 
 def _oracle_from_args(args):
@@ -217,7 +215,7 @@ def _flow_config(args) -> FlowEditConfig:
     return FlowEditConfig(**values)
 
 
-def cmd_flowedit(args) -> int:
+def cmd_flowedit(args) -> dict:
     config = _flow_config(args)
     oracle = _oracle_from_args(args)
     x0 = _vector(args.x0)
@@ -228,41 +226,33 @@ def cmd_flowedit(args) -> int:
         with open(args.transcript_out, "w", encoding="utf-8") as fh:
             for row in transcript:
                 fh.write(json.dumps(row, separators=(",", ":")) + "\n")
-    _emit({"output": out.tolist(), "displacement": (out - x0).tolist(),
-           "config": {"steps": config.steps, "n_max": config.n_max, "n_min": config.n_min,
-                      "n_avg": config.n_avg, "lambda_src": config.lambda_src,
-                      "seed": config.rng_seed}})
-    return 0
+    return {"output": out.tolist(), "displacement": (out - x0).tolist(),
+            "config": {"steps": config.steps, "n_max": config.n_max, "n_min": config.n_min,
+                       "n_avg": config.n_avg, "lambda_src": config.lambda_src,
+                       "seed": config.rng_seed}}
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> dict:
     config = _flow_config(args)
     oracle = _oracle_from_args(args)
-    rng = np.random.Generator(np.random.PCG64(config.rng_seed))
     start = _vector(args.start) if args.start else None
-    out = euler_sample(oracle, args.condition, config, rng=rng, start=start)
-    _emit({"output": out.tolist()})
-    return 0
+    return {"output": euler_sample(oracle, args.condition, config, start=start).tolist()}
 
 
-def cmd_chamfer(args) -> int:
+def cmd_chamfer(args) -> dict:
     a, b = _read_inputs(lambda: _read_structure(args.a), lambda: _read_structure(args.b))
-    _emit({"chamfer": chamfer_voxels(a, b), "iou": occupancy_iou(a, b)
-           if a.resolution == b.resolution else None})
-    return 0
+    return {"chamfer": chamfer_voxels(a, b), "iou": occupancy_iou(a, b) if a.resolution == b.resolution else None}
 
 
-def cmd_consistency(args) -> int:
+def cmd_consistency(args) -> dict:
     s_src, s_tgt, merged, mask = _read_inputs(lambda: _read_structure(args.src), lambda: _read_structure(args.tgt),
                                               lambda: _read_structure(args.merged), lambda: _read_mask(args.mask))
     rep = region_consistency(s_src, s_tgt, merged, mask)
-    _emit({"outside_mask_iou": rep.outside_mask_iou,
-           "inside_mask_match_fraction": rep.inside_mask_match_fraction,
-           "mask_size": rep.mask_size, "diff_size": rep.diff_size})
-    return 0
+    return {"outside_mask_iou": rep.outside_mask_iou, "inside_mask_match_fraction": rep.inside_mask_match_fraction,
+            "mask_size": rep.mask_size, "diff_size": rep.diff_size}
 
 
-def cmd_pipeline_run(args) -> int:
+def cmd_pipeline_run(args) -> dict:
     backends = mock_backend_suite(resolution=args.resolution, channels=args.channels)
     manifest = run_pipeline(
         out_dir=args.out_dir,
@@ -275,13 +265,11 @@ def cmd_pipeline_run(args) -> int:
         workers=args.workers,
         manifest_name=args.manifest,
     )
-    _emit({"manifest": str(manifest), "samples": args.samples})
-    return 0
+    return {"manifest": str(manifest), "samples": args.samples}
 
 
-def cmd_inspect(args) -> int:
-    _emit(inspect_nvx(args.input))
-    return 0
+def cmd_inspect(args) -> dict:
+    return inspect_nvx(args.input)
 
 
 # --- parser ----------------------------------------------------------------
@@ -421,13 +409,14 @@ _parser = functools.cache(build_parser)
 def dispatch(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args))
     except (VoxeditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -184,31 +184,34 @@ def _require_finite(z: np.ndarray, where: str) -> None:
         raise NonFiniteState(f"non-finite state at {where}")
 
 
-def euler_sample(
-    oracle: VelocityOracle,
-    condition,
-    config: FlowEditConfig,
-    rng: np.random.Generator | None = None,
-    start: np.ndarray | None = None,
-) -> np.ndarray:
+def _euler(oracle: VelocityOracle, z: np.ndarray, condition, scale: float, ts: np.ndarray, steps: int,
+           label: str, on_step=None) -> np.ndarray:
+    """Plain Euler steps ``steps``..1 of the guided field on the schedule
+    ``ts``, from ``z`` at t = ts[steps] to t=0; ``z`` is left unchanged."""
+    for i in range(steps, 0, -1):
+        t = ts[i]
+        v = _guided(oracle, z, t, condition, scale)
+        z = z + (ts[i - 1] - t) * v
+        _require_finite(z, f"{label} {i} (t={t:.6g})")
+        if on_step is not None:
+            on_step({"step": i, "t": t, "dv_norm": float(np.linalg.norm(v)), "z_norm": float(np.linalg.norm(z))})
+    return z
+
+
+def euler_sample(oracle: VelocityOracle, condition, config: FlowEditConfig, *,
+                 start: np.ndarray | None = None) -> np.ndarray:
     """Plain Euler sampling of the guided field from t=1 down to t=0.
 
     ``start`` is the state at t=1; when omitted it is drawn standard
-    normal from ``rng`` at the oracle's dimension.  A leading batch axis
-    on ``start`` integrates many trajectories at once.
+    normal at the oracle's dimension from a PCG64 generator seeded with
+    ``config.rng_seed``.  A leading batch axis on ``start`` integrates
+    many trajectories at once.
     """
     if start is None:
-        if rng is None:
-            raise ValueError("need either a start state or an rng to draw one")
-        start = rng.standard_normal(oracle.dim)
-    z = np.asarray(start, dtype=np.float64).copy()
+        start = np.random.Generator(np.random.PCG64(config.rng_seed)).standard_normal(oracle.dim)
+    z = np.asarray(start, dtype=np.float64)
     _require_finite(z, "start")
-    ts = linear_schedule(config.steps)
-    for i in range(config.steps, 0, -1):
-        v = _guided(oracle, z, ts[i], condition, config.cfg_target_scale)
-        z = z + (ts[i - 1] - ts[i]) * v
-        _require_finite(z, f"step {i} (t={ts[i]:.6g})")
-    return z
+    return _euler(oracle, z, condition, config.cfg_target_scale, linear_schedule(config.steps), config.steps, "step")
 
 
 def flowedit_run(
@@ -270,12 +273,4 @@ def flowedit_run(
             if on_step is not None:
                 on_step({"step": i, "t": t, "dv_norm": dv_norm, "z_norm": float(np.linalg.norm(z))})
 
-    for i in range(config.n_min, 0, -1):
-        t = ts[i]
-        v = _guided(oracle, z, t, tgt_condition, config.cfg_target_scale)
-        z = z + (ts[i - 1] - t) * v
-        _require_finite(z, f"plain step {i} (t={t:.6g})")
-        if on_step is not None:
-            on_step({"step": i, "t": t, "dv_norm": float(np.linalg.norm(v)), "z_norm": float(np.linalg.norm(z))})
-
-    return z
+    return _euler(oracle, z, tgt_condition, config.cfg_target_scale, ts, config.n_min, "plain step", on_step)

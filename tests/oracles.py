@@ -35,7 +35,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from voxedit.cli import _emit, _mask_report, _policy_from_args, _read_latent, _read_mask, _read_structure
+from voxedit.cli import _mask_report, _policy_from_args, _read_latent, _read_mask, _read_structure
 from voxedit.errors import DimensionMismatch, NonFiniteState
 from voxedit.merge import DEFAULT_CONNECTIVITY, Threshold, diff_xor, mask_all, slat_merge, voxel_merge
 from voxedit.metrics import chamfer_voxels, occupancy_iou, region_consistency
@@ -736,15 +736,14 @@ def run_pipeline_sequential(out_dir, n_samples, backends, seed=0, max_attempts=1
 # as it was before the commands read their inputs on two threads.
 
 
-def cmd_diff_sequential(args) -> int:
+def cmd_diff_sequential(args) -> dict:
     d = diff_xor(_read_structure(args.src), _read_structure(args.tgt))
     if args.out:
         write_nvx(d, args.out)
-    _emit({"diff_size": d.voxel_sum, "out": str(args.out) if args.out else None})
-    return 0
+    return {"diff_size": d.voxel_sum, "out": str(args.out) if args.out else None}
 
 
-def cmd_merge_sequential(args) -> int:
+def cmd_merge_sequential(args) -> dict:
     s_src = _read_structure(args.src)
     s_tgt = _read_structure(args.tgt)
     policy = _policy_from_args(args)
@@ -753,44 +752,40 @@ def cmd_merge_sequential(args) -> int:
     if args.mask_out:
         report = json.dumps(_mask_report(mask, policy, args.connectivity), separators=(",", ":"))
         Path(args.mask_out).write_text(report + "\n", encoding="utf-8")
-    _emit({
+    return {
         "out": str(args.out),
         "mask_out": str(args.mask_out) if args.mask_out else None,
         "diff_size": sum(mask.component_sizes),
         "component_sizes": list(mask.component_sizes),
         "selected_sizes": list(mask.selected_sizes),
         "merged_voxel_sum": merged.voxel_sum,
-    })
-    return 0
+    }
 
 
-def cmd_slat_merge_sequential(args) -> int:
+def cmd_slat_merge_sequential(args) -> dict:
     z_src = _read_latent(args.src_slat)
     z_tgt = _read_latent(args.tgt_slat)
     merged = _read_structure(args.merged)
     mask = mask_all(merged) if args.mask_all else _read_mask(args.mask)
     out = slat_merge(z_src, z_tgt, mask, merged)
     write_nvx(out, args.out)
-    _emit({"out": str(args.out), "voxel_sum": out.voxel_sum, "channels": out.channels,
-           "mask_size": mask.voxel_sum})
-    return 0
+    return {"out": str(args.out), "voxel_sum": out.voxel_sum, "channels": out.channels,
+            "mask_size": mask.voxel_sum}
 
 
-def cmd_chamfer_sequential(args) -> int:
+def cmd_chamfer_sequential(args) -> dict:
     a = _read_structure(args.a)
     b = _read_structure(args.b)
-    _emit({"chamfer": chamfer_voxels(a, b), "iou": occupancy_iou(a, b)
-           if a.resolution == b.resolution else None})
-    return 0
+    return {"chamfer": chamfer_voxels(a, b), "iou": occupancy_iou(a, b)
+            if a.resolution == b.resolution else None}
 
 
-def cmd_consistency_sequential(args) -> int:
+def cmd_consistency_sequential(args) -> dict:
     s_src = _read_structure(args.src)
     s_tgt = _read_structure(args.tgt)
     merged = _read_structure(args.merged)
     mask = _read_mask(args.mask)
     rep = region_consistency(s_src, s_tgt, merged, mask)
-    _emit({"outside_mask_iou": rep.outside_mask_iou,
-           "inside_mask_match_fraction": rep.inside_mask_match_fraction,
-           "mask_size": rep.mask_size, "diff_size": rep.diff_size})
-    return 0
+    return {"outside_mask_iou": rep.outside_mask_iou,
+            "inside_mask_match_fraction": rep.inside_mask_match_fraction,
+            "mask_size": rep.mask_size, "diff_size": rep.diff_size}

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import io
 import json
@@ -380,16 +381,31 @@ def mask_reading_argvs(tmp_path, seed):
              "--merged", str(src_path), "--out", str(tmp_path / "out.nvx")])
 
 
-@pytest.mark.parametrize("report", [[1, 2], {"resolution": 16, "coords": None},
-                                    {"resolution": 16, "coords": [[2, 0, 0]], "selected_sizes": 5}],
-                         ids=["list", "null-coords", "scalar-sizes"])
-def test_malformed_mask_report_exits_1(tmp_path, capsys, report):
+# each malformed report, and its error after "mask report <path>"; a ValueError
+# keeps its type name, a VoxeditError is printed without one
+MALFORMED_MASKS = {
+    "list": ([1, 2], "ValueError", " must hold a JSON object"),
+    "null-coords": ({"resolution": 16, "coords": None}, "ValueError", ": coords must be an (N, 3) collection"),
+    "scalar-sizes": ({"resolution": 16, "coords": [[2, 0, 0]], "selected_sizes": 5}, "ValueError",
+                     ": fields 'selected_sizes' and 'component_sizes' must be lists"),
+    "resolution-1": ({"resolution": 1, "coords": [[0, 0, 0]]}, "ValueError",
+                     ": resolution must be an integer in [2, 65535], got 1"),
+    "out-of-bounds": ({"resolution": 16, "coords": [[16, 0, 0]]}, None,
+                      ": coordinate (16, 0, 0) out of bounds for resolution 16"),
+    "two-column-coords": ({"resolution": 16, "coords": [[2, 0]]}, "ValueError",
+                          ": coords must be an (N, 3) collection"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MASKS)
+def test_malformed_mask_report_exits_1(tmp_path, capsys, case):
+    report, type_name, message = MALFORMED_MASKS[case]
     mask_path = tmp_path / "mask.json"
     mask_path.write_text(json.dumps(report))
+    expected = f"error: {type_name + ': ' if type_name else ''}mask report {mask_path}{message}\n"
     for argv in mask_reading_argvs(tmp_path, seed=77):
         code, stdout, stderr = run_cli(capsys, *argv, "--mask", str(mask_path))
-        assert (code, stdout) == (1, ""), argv[0]
-        assert stderr.startswith("error: ValueError:") and stderr.count("\n") == 1, argv[0]
+        assert (code, stdout, stderr) == (1, "", expected), argv[0]
     assert not (tmp_path / "out.nvx").exists()
 
 
@@ -738,3 +754,44 @@ def test_structure_and_latent_files_are_not_interchangeable(tmp_path, capsys):
     code, out, err = run_cli(capsys, "slat-merge", "--src-slat", str(s_path), "--tgt-slat", str(z_path),
                              "--merged", str(s_path), "--mask-all", "--out", str(tmp_path / "o.nvx"))
     assert (code, out, err) == (1, "", f"error: {s_path} holds an occupancy payload, expected latent\n")
+
+
+# --- one output path ----------------------------------------------------------------
+
+
+def output_sites(source: str) -> tuple:
+    """The functions of ``source`` that name ``_emit``, the functions that touch
+    ``sys.stdout``, and those with a ``print`` that is not ``file=sys.stderr``,
+    by ``def`` name; a lambda counts as the ``def`` that holds it, and code
+    outside every ``def`` as None."""
+    emitters, stdout_users, printers = set(), set(), set()
+
+    def is_sys(node, attr):
+        return isinstance(node, ast.Attribute) and node.attr == attr and \
+            isinstance(node.value, ast.Name) and node.value.id == "sys"
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Name) and node.id == "_emit":
+            emitters.add(where)
+        if is_sys(node, "stdout") or isinstance(node, ast.ImportFrom) and node.module == "sys" and \
+                any(alias.name == "stdout" for alias in node.names):
+            stdout_users.add(where)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print" and \
+                not any(kw.arg == "file" and is_sys(kw.value, "stderr") for kw in node.keywords):
+            printers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return emitters, stdout_users, printers
+
+
+def test_dispatch_alone_prints_a_command_report():
+    source = Path(cli_module.__file__).read_text(encoding="utf-8")
+    assert output_sites(source) == ({"dispatch"}, {"_emit"}, set())
+    # the check sees each way around the rule
+    stray = "import sys\nfrom sys import stdout\ndef cmd_x(args):\n    _emit({})\n    print(1)\n" \
+            "    print(2, file=sys.stdout)\n    return lambda: sys.stdout.write('')\n"
+    assert output_sites(stray) == ({"cmd_x"}, {None, "cmd_x"}, {"cmd_x"})

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -232,12 +233,12 @@ def test_euler_never_evaluates_at_nonpositive_time():
 
 
 def test_euler_draws_start_from_rng():
-    oracle = DeltaVelocityOracle({"c": np.array([1.0, 2.0])})
-    cfg = FlowEditConfig(steps=5, n_max=5)
-    out = euler_sample(oracle, "c", cfg, rng=np.random.default_rng(7))
-    assert np.abs(out - np.array([1.0, 2.0])).max() < 1e-9
-    with pytest.raises(ValueError):
-        euler_sample(oracle, "c", cfg)
+    # without a start, the start is the first draw of np.random.default_rng(config.rng_seed)
+    oracle = AffineGaussianVelocityOracle({"c": np.array([1.0, 2.0])}, {"c": 0.5})
+    cfg = FlowEditConfig(steps=5, n_max=5, rng_seed=7)
+    out = euler_sample(oracle, "c", cfg)
+    assert np.array_equal(out, euler_sample(oracle, "c", cfg, start=np.random.default_rng(7).standard_normal(2)))
+    assert not np.array_equal(out, euler_sample(oracle, "c", dataclasses.replace(cfg, rng_seed=8)))
 
 
 def test_euler_gaussian_moments_match_within_3se():

@@ -1,9 +1,11 @@
-"""Golden bytes: SHA-256 digests of what the mesh commands write.
+"""Golden bytes: SHA-256 digests of what the CLI commands print and write.
 
-Each case builds its input mesh here from exact arithmetic (IEEE sums,
+Each mesh case builds its input mesh here from exact arithmetic (IEEE sums,
 products and square roots, no libm), writes it as an OBJ, runs ``voxelize``
 and then ``surface`` through the CLI in the test's own directory, and pins
-the digest of every file and of both commands' stdout.  The oracle tests
+the digest of every file and of both commands' stdout.  The other commands
+run on small NVX files that a seeded generator writes, and ``pipeline run``
+pins one table at one and at two workers.  The oracle tests
 compare each fast path with a reference at the same commit; this table
 instead pins the bytes across commits and across numpy versions.  A change
 that alters these bytes on purpose updates the digest and says why.
@@ -11,8 +13,11 @@ that alters these bytes on purpose updates the digest and says why.
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
+from oracles import random_structure_coords
+from voxedit import make_latent, make_sparse, write_nvx
 from voxedit.cli import dispatch
 
 TETRAHEDRON = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
@@ -82,25 +87,145 @@ CASES = {
 }
 
 
-def mesh_command_outputs(workdir, capsys, obj_text: str, flags: list) -> dict:
-    """The bytes of the input OBJ, of each file the two commands write and
-    of their stdout, run with paths relative to ``workdir``."""
-    (workdir / "mesh.obj").write_text(obj_text, encoding="utf-8")
-    out = {"mesh.obj": (workdir / "mesh.obj").read_bytes()}
-    capsys.readouterr()
-    assert dispatch(["voxelize", "--mesh", "mesh.obj", *flags, "--out", "vox.nvx"]) == 0
-    out["voxelize.stdout"] = capsys.readouterr().out.encode()
-    out["vox.nvx"] = (workdir / "vox.nvx").read_bytes()
-    assert dispatch(["surface", "vox.nvx", "--out", "shell.obj"]) == 0
-    out["surface.stdout"] = capsys.readouterr().out.encode()
-    out["shell.obj"] = (workdir / "shell.obj").read_bytes()
+def run_steps(workdir, capsys, steps) -> dict:
+    """The bytes of each step's stdout and of the files it writes; a step is
+    (label, argv, files it writes), run with paths relative to ``workdir``."""
+    out = {}
+    for label, argv, files in steps:
+        capsys.readouterr()
+        assert dispatch(argv) == 0, label
+        out[f"{label}.stdout"] = capsys.readouterr().out.encode()
+        out.update((name, (workdir / name).read_bytes()) for name in files)
     return out
+
+
+def digests(outputs: dict) -> dict:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_mesh_command_bytes_equal_golden_digests(case, tmp_path, monkeypatch, capsys):
     obj_text, flags, golden = CASES[case]
     monkeypatch.chdir(tmp_path)
-    outputs = mesh_command_outputs(tmp_path, capsys, obj_text, flags)
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
-    assert digests == golden
+    (tmp_path / "mesh.obj").write_text(obj_text, encoding="utf-8")
+    outputs = run_steps(tmp_path, capsys, [("voxelize", ["voxelize", "--mesh", "mesh.obj", *flags, "--out", "vox.nvx"],
+                                            ["mesh.obj", "vox.nvx"]),
+                                           ("surface", ["surface", "vox.nvx", "--out", "shell.obj"], ["shell.obj"])])
+    assert digests(outputs) == golden
+
+
+# --- every other command ------------------------------------------------------------
+# Each case writes its inputs from a seeded generator, then runs its steps in
+# the test's directory; the digests pinned are of each step's stdout
+# ("<label>.stdout") and of each file it writes.
+
+FLOW = ["--steps", "6", "--n-max", "5", "--n-avg", "2", "--seed", "3"]
+SAMPLE = ["sample", "--steps", "5", "--n-max", "5", "--seed", "4", "--condition", "tgt"]
+EDIT_CASES = {
+    "structures": [
+        ("diff", ["diff", "--src", "src.nvx", "--tgt", "tgt.nvx", "--out", "d.nvx"], ["d.nvx"]),
+        ("components", ["components", "d.nvx", "--connectivity", "26"], []),
+        ("chamfer", ["chamfer", "--a", "src.nvx", "--b", "tgt.nvx"], []),
+        ("inspect", ["inspect", "zs.nvx"], []),
+    ],
+    "merge": [
+        ("merge", ["merge", "--src", "src.nvx", "--tgt", "tgt.nvx", "--tau", "2", "--out", "m.nvx",
+                   "--mask-out", "mask.json"], ["m.nvx", "mask.json"]),
+        ("consistency", ["consistency", "--src", "src.nvx", "--tgt", "tgt.nvx", "--merged", "m.nvx",
+                         "--mask", "mask.json"], []),
+        ("slat-merge", ["slat-merge", "--src-slat", "zs.nvx", "--tgt-slat", "zt.nvx", "--merged", "m.nvx",
+                        "--mask", "mask.json", "--out", "z.nvx"], ["z.nvx"]),
+        # every merged voxel takes the target's latent, so the target's coords are merged
+        ("slat-merge-all", ["slat-merge", "--src-slat", "zs.nvx", "--tgt-slat", "zt.nvx", "--merged", "tgt.nvx",
+                            "--mask-all", "--out", "z_all.nvx"], ["z_all.nvx"]),
+    ],
+    "flow": [
+        # --n-min 2 runs two plain steps after the edit steps
+        ("flowedit", ["flowedit", *FLOW, "--n-min", "2", "--oracle", "gaussian", "--src-mean", "0,1",
+                      "--tgt-mean", "2,-1", "--src-var", "0.5", "--x0", "0.25,-0.5",
+                      "--transcript-out", "t.jsonl"], ["t.jsonl"]),
+        # no --start: the start is drawn from the seed
+        ("sample-delta", [*SAMPLE, "--oracle", "delta", "--src-anchor", "0,0,0", "--tgt-anchor", "1,2,3"], []),
+        ("sample-gaussian", [*SAMPLE, "--oracle", "gaussian", "--src-mean", "0,1", "--tgt-mean", "2,-1",
+                             "--tgt-var", "2"], []),
+    ],
+}
+EDIT_GOLDEN = {
+    "structures": {
+        "diff.stdout": "bfc153093ed3d2f8d33ad398fcf66305ad0e476149894186a1a73210c81eadc1",
+        "d.nvx": "97a244e440896320ef6d20f4fe45f3ec857775e6d507a03173f3085c6c528ffc",
+        "components.stdout": "5d28a71ed77e3bcb05e2ec3b690425f94d201932404fef682c4fec17805be015",
+        "chamfer.stdout": "2b4ddf560208e859deb183a2dedb35d7aa187c479453994d4f1b11109279ad2c",
+        "inspect.stdout": "8fa5cb2c715f307558f17a1f205169dab9546a59d044c1ebeac2418f3f1fab8b",
+    },
+    "merge": {
+        "merge.stdout": "675b567bb36bd15ee4363e719f77841a9b57a555ecfb9b792cb2d3e0e67de091",
+        "m.nvx": "f5eba8bbf84386cc657a41904d955ff758777f72908926ecef4d6cbde91604e3",
+        "mask.json": "52ebcf2a7149a04764b7d4e57fd14350b9cefe92082c6255bab3b350d8b7dd58",
+        "consistency.stdout": "25cb5abb7378563ed95a1a9250c6b4abbdf11d210eab7cf260945af1a04619c0",
+        "slat-merge.stdout": "245beca361f4f00aab2d9e20f6b3b4f58084f4e3574ef402fc44485306997cf4",
+        "z.nvx": "71cbcc200216d544b9974ada4bbb1f2ce24a5469c1397b0d674d266dc5256e4c",
+        "slat-merge-all.stdout": "49a6e25fed21a85fc0c3b6defa0459df1c03722755d73ade1be394045b06a827",
+        "z_all.nvx": "697559dbb00a679e464de38d3ec2a14edfc0c55620dff967f30ab99d750c5a8b",
+    },
+    "flow": {
+        "flowedit.stdout": "92f31766634f38fb3ff856a1e072bcf1fd842edd5c797c799cc505d01ef4fc70",
+        "t.jsonl": "e3da51d9aa906f03273f1bfe2377fa7d57741658d94a21d9494a38c468e2cfb5",
+        "sample-delta.stdout": "4bb32c4f874db05e4011a58c6f4562e42c2b4c5d6ec20464256a2faf5854c274",
+        "sample-gaussian.stdout": "f5333d232cf3b0d59b774c19c11493d8aae6b75dc3a8d6b6c73f578453141087",
+    },
+}
+
+
+def write_edit_inputs(workdir) -> None:
+    """Two 16^3 structures at 8% and a 3-channel latent on each."""
+    rng = np.random.default_rng(2024)
+    src = make_sparse(random_structure_coords(rng, 16, 0.08), 16)
+    tgt = make_sparse(random_structure_coords(rng, 16, 0.08), 16)
+    for name, payload in (("src.nvx", src), ("tgt.nvx", tgt),
+                          ("zs.nvx", make_latent(src.coords, rng.standard_normal((src.voxel_sum, 3)), 16)),
+                          ("zt.nvx", make_latent(tgt.coords, rng.standard_normal((tgt.voxel_sum, 3)), 16))):
+        write_nvx(payload, workdir / name)
+
+
+@pytest.mark.parametrize("case", EDIT_CASES)
+def test_edit_command_bytes_equal_golden_digests(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_edit_inputs(tmp_path)
+    assert digests(run_steps(tmp_path, capsys, EDIT_CASES[case])) == EDIT_GOLDEN[case]
+
+
+PIPELINE_GOLDEN = {
+    "pipeline.stdout": "10ae8f8b5494aeb9eca6e391b88f6ec2e28af98ea893dc12aaba529757f4d6f8",
+    "p/manifest.jsonl": "7672d5cfd0348914a9a909c73d235c75cbaf6ed131424977d2cb81f72d6b5cd5",
+    "p/sample-000000.merged.nvx": "eafd89c78bed7810ebac0681c2025e0c959b423a2eb08f104b346c044e526ab2",
+    "p/sample-000000.merged_slat.nvx": "c51dfe20bc73a60044ea6fdd10313eaacac463a90014a700a6510d9a7c941161",
+    "p/sample-000000.src.nvx": "5ea038b41a3973dd608d20aa98ec64463f578a341f8f42f75c6b20b8b5ec2caf",
+    "p/sample-000000.src_slat.nvx": "50e97f9c7f8444e91753f4af432d7fc88ef9590ffb8e87387d727cdc116f33c1",
+    "p/sample-000000.tgt.nvx": "950621a04b4aaedb6e3561ffa75a53cae3fbb8ee5256fb27155189195123eef7",
+    "p/sample-000001.merged.nvx": "908b0f5d7a77d3dacb8b6ea1237612bc1a42ec53f35a60579c24d8f1a1ac2e5f",
+    "p/sample-000001.merged_slat.nvx": "fd5f3e890fe3e1fe96a7426cbfec80192430e2ecaa76a96f15dd83d284ad26e7",
+    "p/sample-000001.src.nvx": "11a933659e0bc6fe518ed3f771727ec365f3c5bad64ac1608230fd6188bfb025",
+    "p/sample-000001.src_slat.nvx": "f0b1f13813e94ba5fadf20ca491c6237350ebd82b63ea1626ce97ffb823c41f6",
+    "p/sample-000001.tgt.nvx": "86318832d656afbca162c5af0f442924bd42caa7cca6db6a55d940aefc5492af",
+    "p/sample-000002.merged.nvx": "521df88cb2315b873033ffba65c2bafe974726516f60a8f54013ca74cc4385e1",
+    "p/sample-000002.merged_slat.nvx": "0e99bc14554abe20e6d674c700ff32ce4e61a5d9089467329278bb8410002b96",
+    "p/sample-000002.src.nvx": "700827f813f2a8427fdaa2bb66d130a1e2eebc040cadbfb0ff2b7e694f8da65f",
+    "p/sample-000002.src_slat.nvx": "e50683b593d4f523f288e72a9780855ebe8cad75685971d81d8d19d232f31ed2",
+    "p/sample-000002.tgt.nvx": "95fe7a576d50d878fa7340da75775d5a6c194cb711d6abae4b7b502ca44ea73f",
+    "p/sample-000003.merged.nvx": "9db495ffe241f554df3b23f8ecbdf59a584f1fe8fcfe8bb270b06afdec608790",
+    "p/sample-000003.merged_slat.nvx": "ea6d083f0a512a136f0c695c55b70e9ec61a8767190fe3608729bded347ee079",
+    "p/sample-000003.src.nvx": "9fdc57721ba00015967b3d2ddc5547d1998b9c2fd8f8fe04ba4a83d91c6edf35",
+    "p/sample-000003.src_slat.nvx": "ad98de1335ece58aa74688c5af8f86b88f7fd9875c43b4660a5536deb534531d",
+    "p/sample-000003.tgt.nvx": "d969e14a7fc308ea4ea7ae874d3f40603a04dc7deaef239a0cc05a26519a27cb",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pipeline_run_bytes_equal_golden_digests_at_any_worker_count(workers, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["pipeline", "run", "--out-dir", "p", "--samples", "4", "--seed", "1", "--resolution", "16",
+            "--max-attempts", "2", "--workers", str(workers)]
+    outputs = run_steps(tmp_path, capsys, [("pipeline", argv, [])])
+    outputs.update((f"p/{path.name}", path.read_bytes()) for path in sorted((tmp_path / "p").iterdir()))
+    assert digests(outputs) == PIPELINE_GOLDEN
