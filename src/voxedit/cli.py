@@ -77,10 +77,10 @@ def _read_inputs(*reads) -> list:
     return [done.result() for done in split(*reads)]
 
 
-def _mask_report(mask: FlipMask, policy, connectivity: int) -> dict:
+def _mask_report(mask: FlipMask, policy) -> dict:
     return {
         "resolution": mask.resolution,
-        "policy": policy.describe() | {"connectivity": connectivity},
+        "policy": policy.describe(),
         "component_sizes": list(mask.component_sizes),
         "selected_sizes": list(mask.selected_sizes),
         "mask_size": mask.voxel_sum,
@@ -119,8 +119,8 @@ def _read_mask(path) -> FlipMask:
 
 def _policy_from_args(args):
     if args.top_k is not None:
-        return TopK(args.top_k)
-    return Threshold() if args.tau is None else Threshold(args.tau)
+        return TopK(args.top_k, args.connectivity)
+    return Threshold(DEFAULT_TAU if args.tau is None else args.tau, args.connectivity)
 
 
 def _vector(text: str) -> np.ndarray:
@@ -160,13 +160,12 @@ def cmd_components(args) -> dict:
 def cmd_merge(args) -> dict:
     s_src, s_tgt = _read_inputs(lambda: _read_structure(args.src), lambda: _read_structure(args.tgt))
     policy = _policy_from_args(args)
-    merged, mask = voxel_merge(s_src, s_tgt, args.connectivity, policy)
+    merged, mask = voxel_merge(s_src, s_tgt, policy=policy)
     # the helper writes the NVX while this thread encodes the report, which
     # is written only once the NVX is: a failed NVX write is what gets raised
     report, written = split(
         # compact separators keep json on its C encoder; indent would not
-        lambda: (json.dumps(_mask_report(mask, policy, args.connectivity), separators=(",", ":"))
-                 if args.mask_out else None),
+        lambda: json.dumps(_mask_report(mask, policy), separators=(",", ":")) if args.mask_out else None,
         functools.partial(write_nvx, merged, args.out))
     written.result()
     if args.mask_out:
@@ -259,7 +258,6 @@ def cmd_pipeline_run(args) -> dict:
         n_samples=args.samples,
         backends=backends,
         merge_policy=_policy_from_args(args),
-        connectivity=args.connectivity,
         seed=args.seed,
         max_attempts=args.max_attempts,
         workers=args.workers,
@@ -304,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_connectivity_flag(p):
         p.add_argument("--connectivity", type=int, choices=CONNECTIVITIES, default=DEFAULT_CONNECTIVITY)
 
-    def add_merge_flags(p):  # what _policy_from_args reads, plus the connectivity
+    def add_merge_flags(p):  # what _policy_from_args reads
         group = p.add_mutually_exclusive_group()
         # no default: argparse does not count a value equal to the default as
         # given, so a default of DEFAULT_TAU would let `--tau 100 --top-k 2` through

@@ -36,13 +36,13 @@ class FlowEditConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # the values may come from a --config file
-        check_int("steps", self.steps, 1)
-        check_int("n_max", self.n_max, 0, self.steps)
-        check_int("n_min", self.n_min, 0, self.n_max)
-        check_int("n_avg", self.n_avg, 1)
+        # the values may come from a --config file; each int is stored as its check returns it
+        object.__setattr__(self, "steps", check_int("steps", self.steps, 1))
+        object.__setattr__(self, "n_max", check_int("n_max", self.n_max, 0, self.steps))
+        object.__setattr__(self, "n_min", check_int("n_min", self.n_min, 0, self.n_max))
+        object.__setattr__(self, "n_avg", check_int("n_avg", self.n_avg, 1))
         # each seed in this range is its own noise key, so no two seeds draw the same noise
-        check_int("rng_seed", self.rng_seed, 0, 2**64 - 1)
+        object.__setattr__(self, "rng_seed", check_int("rng_seed", self.rng_seed, 0, 2**64 - 1))
         for name in ("cfg_source_scale", "cfg_target_scale", "lambda_src"):
             check_real(name, getattr(self, name))
 

@@ -1,10 +1,10 @@
 """Region-aware merging of an edited sparse structure into its source.
 
 The stages compose left to right: XOR difference map, connectivity
-decomposition, adaptive component selection (top-k or size threshold),
-and a flip of the selected region onto the source occupancy.  The same
-mask then drives the latent-level merge, so edited regions take the
-target's latents and everything else keeps the source's bit for bit.
+decomposition and top-k or size-threshold selection, both set by one
+policy, and a flip of the selected region onto the source occupancy.  The
+same mask then drives the latent-level merge, so edited regions take the
+target's latents and the rest keeps the source's bit for bit.
 """
 from __future__ import annotations
 
@@ -49,23 +49,34 @@ _ROW_STEPS = {
 @dataclass(frozen=True)
 class TopK:
     k: int
+    connectivity: int = DEFAULT_CONNECTIVITY
 
     def __post_init__(self):
-        check_int("k", self.k, 0)
+        object.__setattr__(self, "k", check_int("k", self.k, 0))
+        object.__setattr__(self, "connectivity", check_connectivity(self.connectivity))
 
     def describe(self) -> dict:
-        return {"kind": "top_k", "k": self.k}
+        return {"kind": "top_k", "k": self.k, "connectivity": self.connectivity}
 
 
 @dataclass(frozen=True)
 class Threshold:
     tau: int = DEFAULT_TAU
+    connectivity: int = DEFAULT_CONNECTIVITY
 
     def __post_init__(self):
-        check_int("tau", self.tau, 0)
+        object.__setattr__(self, "tau", check_int("tau", self.tau, 0))
+        object.__setattr__(self, "connectivity", check_connectivity(self.connectivity))
 
     def describe(self) -> dict:
-        return {"kind": "threshold", "tau": self.tau}
+        return {"kind": "threshold", "tau": self.tau, "connectivity": self.connectivity}
+
+
+def check_policy(policy):
+    """``policy``, if it is a ``TopK`` or a ``Threshold``."""
+    if not isinstance(policy, (TopK, Threshold)):
+        raise TypeError(f"unknown selection policy {policy!r}")
+    return policy
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +198,7 @@ def _union(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
 
 
 def select_components(cs: ComponentSet, policy) -> FlipMask:
-    """Build the flip mask from whole components chosen by the policy.
+    """Build the flip mask from whole components chosen by the policy; only its ``k`` or ``tau`` is read.
 
     ``TopK(k)`` takes the first k components in canonical order; a k past
     the component count takes them all.  ``Threshold(tau)`` takes every
@@ -195,12 +206,10 @@ def select_components(cs: ComponentSet, policy) -> FlipMask:
     regions.  Sizes descend, so either policy takes a prefix of the
     canonical order, and the prefix's voxels are already in linear order.
     """
-    if isinstance(policy, TopK):
+    if isinstance(check_policy(policy), TopK):
         n = min(policy.k, len(cs.sizes))
-    elif isinstance(policy, Threshold):
-        n = bisect_left(cs.sizes, -policy.tau, key=lambda s: -s)
     else:
-        raise TypeError(f"unknown selection policy {policy!r}")
+        n = bisect_left(cs.sizes, -policy.tau, key=lambda s: -s)
     return FlipMask(
         resolution=cs.resolution,
         coords=cs.coords[cs.rank < n],
@@ -216,12 +225,8 @@ def apply_flip(s_src: SparseStructure, mask: FlipMask) -> SparseStructure:
     return sparse_from_linear(_xor_sorted(s_src.key, mask.key), resolution)
 
 
-def voxel_merge(
-    s_src: SparseStructure,
-    s_tgt: SparseStructure,
-    connectivity: int = DEFAULT_CONNECTIVITY,
-    policy=None,
-) -> tuple[SparseStructure, FlipMask]:
+def voxel_merge(s_src: SparseStructure, s_tgt: SparseStructure, *,
+                policy=Threshold()) -> tuple[SparseStructure, FlipMask]:
     """Transfer the significant edited regions of ``s_tgt`` onto ``s_src``.
 
     Returns the merged structure together with the flip mask so the same
@@ -229,10 +234,8 @@ def voxel_merge(
     sizes of all difference components, so ``sum(mask.component_sizes)``
     is the size of the difference map.
     """
-    if policy is None:
-        policy = Threshold()
     d = diff_xor(s_src, s_tgt)
-    cs = label_components(d, connectivity)
+    cs = label_components(d, check_policy(policy).connectivity)
     mask = select_components(cs, policy)
     return apply_flip(s_src, mask), mask
 

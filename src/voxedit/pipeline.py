@@ -21,7 +21,7 @@ import numpy as np
 from ._threads import ahead, helper
 from .errors import ChannelMismatch, EmptySlot, InstructionError, MissingSlot, SlotSyntaxError, UnknownAction
 from .grid import SparseStructure, StructuredLatent, check_int, check_resolution
-from .merge import DEFAULT_CONNECTIVITY, Threshold, check_connectivity, slat_merge, voxel_merge
+from .merge import Threshold, check_policy, slat_merge, voxel_merge
 from .nvx import MAX_CHANNELS, write_nvx
 
 # --- instruction templating ---------------------------------------------
@@ -111,7 +111,7 @@ class ManifestRecord:
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
-        check_int("attempt", self.attempt, 1)
+        self.attempt = check_int("attempt", self.attempt, 1)
 
     def to_json_dict(self) -> dict:
         out = {name: getattr(self, name) for name in _RECORD_FIELDS}
@@ -362,8 +362,8 @@ def run_sample(
     sample: SampleSpec,
     backends: BackendSuite,
     out_dir,
-    merge_policy=None,
-    connectivity: int = DEFAULT_CONNECTIVITY,
+    merge_policy=Threshold(),
+    *,
     max_attempts: int = 1,
 ) -> ManifestRecord:
     """Run the full editing chain for one sample, re-sampling on filter
@@ -376,15 +376,14 @@ def run_sample(
     in turn would give: a failure is reported at the first stage that
     fails in that order.
     """
-    check_int("max_attempts", max_attempts, 1)
-    if merge_policy is None:
-        merge_policy = Threshold()
+    max_attempts = check_int("max_attempts", max_attempts, 1)
+    check_policy(merge_policy)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     with helper() as split:
         for attempt in range(1, max_attempts + 1):
-            record = _run_attempt(sample, backends, out_dir, merge_policy, connectivity, attempt, split)
+            record = _run_attempt(sample, backends, out_dir, merge_policy, attempt, split)
             if record.status != "filtered":
                 break
     return record
@@ -400,13 +399,13 @@ _ARTIFACTS = (
 )
 
 
-def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt, split) -> ManifestRecord:
+def _run_attempt(sample, backends, out_dir, policy, attempt, split) -> ManifestRecord:
     record = ManifestRecord(
         id=sample.id,
         status="failed",
         attempt=attempt,
         source_image=sample.image_ref,
-        policy={**policy.describe(), "connectivity": connectivity},
+        policy=policy.describe(),
     )
     stage = "instruction"
     try:
@@ -431,7 +430,7 @@ def _run_attempt(sample, backends, out_dir, policy, connectivity, attempt, split
         s_tgt, z_tgt = target.result()
 
         stage = "voxel_merge"
-        merged, mask = voxel_merge(s_src, s_tgt, connectivity, policy)
+        merged, mask = voxel_merge(s_src, s_tgt, policy=policy)
 
         stage = "slat_merge"
         merged_slat = slat_merge(z_src, z_tgt, mask, merged)
@@ -463,8 +462,8 @@ def run_pipeline(
     out_dir,
     n_samples: int,
     backends: BackendSuite | None = None,
-    merge_policy=None,
-    connectivity: int = DEFAULT_CONNECTIVITY,
+    merge_policy=Threshold(),
+    *,
     seed: int = 0,
     max_attempts: int = 1,
     workers: int = 1,
@@ -484,13 +483,12 @@ def run_pipeline(
     ``ahead`` cancels the samples not yet started and waits for those in
     flight, and none of theirs is written.
     """
-    check_int("n_samples", n_samples, 0)
-    check_int("workers", workers, 1)
-    check_int("max_attempts", max_attempts, 1)
-    # each record holds the connectivity, and str(seed) names each sample's data,
-    # so 6.0 or True would change the manifest's bytes where 6 or 1 would not
-    connectivity = check_connectivity(connectivity)
+    n_samples = check_int("n_samples", n_samples, 0)
+    workers = check_int("workers", workers, 1)
+    max_attempts = check_int("max_attempts", max_attempts, 1)
+    # str(seed) names each sample's data, so 1.0 or True would build another dataset than 1
     seed = check_int("seed", seed, None)
+    check_policy(merge_policy)
     if backends is None:
         backends = mock_backend_suite()
     if image_refs is not None and len(image_refs) < n_samples:
@@ -509,7 +507,7 @@ def run_pipeline(
             yield SampleSpec(id=f"sample-{i:06d}", image_ref=ref, seed=derive_seed(seed, i))
 
     # run_sample is looked up here, at run time, so a wrapper patched onto the module applies
-    samples = (functools.partial(run_sample, spec, backends, out_dir, merge_policy, connectivity, max_attempts)
+    samples = (functools.partial(run_sample, spec, backends, out_dir, merge_policy, max_attempts=max_attempts)
                for spec in specs())
     with ahead(samples, workers) as records:
         for record in records:

@@ -37,7 +37,7 @@ from scipy.spatial import cKDTree
 
 from voxedit.cli import _mask_report, _policy_from_args, _read_latent, _read_mask, _read_structure
 from voxedit.errors import DimensionMismatch, NonFiniteState
-from voxedit.merge import DEFAULT_CONNECTIVITY, Threshold, diff_xor, mask_all, slat_merge, voxel_merge
+from voxedit.merge import Threshold, diff_xor, mask_all, slat_merge, voxel_merge
 from voxedit.metrics import chamfer_voxels, occupancy_iou, region_consistency
 from voxedit.nvx import write_nvx
 from voxedit.pipeline import ManifestRecord, SampleSpec, derive_seed, record_to_line
@@ -643,7 +643,7 @@ def slat_merge_masked(resolution: int, src_coords, src_lat, tgt_coords, tgt_lat,
     return out
 
 
-def run_attempt_sequential(sample, backends, out_dir, policy, connectivity, attempt):
+def run_attempt_sequential(sample, backends, out_dir, policy, attempt):
     """One pipeline attempt with every stage run in turn on the calling
     thread, as ``run_sample`` did before it overlapped its stages."""
     record = ManifestRecord(
@@ -651,7 +651,7 @@ def run_attempt_sequential(sample, backends, out_dir, policy, connectivity, atte
         status="failed",
         attempt=attempt,
         source_image=sample.image_ref,
-        policy={**policy.describe(), "connectivity": connectivity},
+        policy=policy.describe(),
     )
     stage = "instruction"
     try:
@@ -673,7 +673,7 @@ def run_attempt_sequential(sample, backends, out_dir, policy, connectivity, atte
             edited_ref, derive_seed(sample.seed, attempt, "generate_target"))
 
         stage = "voxel_merge"
-        merged, mask = voxel_merge(s_src, s_tgt, connectivity, policy)
+        merged, mask = voxel_merge(s_src, s_tgt, policy=policy)
 
         stage = "slat_merge"
         merged_slat = slat_merge(z_src, z_tgt, mask, merged)
@@ -704,14 +704,12 @@ def run_attempt_sequential(sample, backends, out_dir, policy, connectivity, atte
     return record
 
 
-def run_sample_sequential(sample, backends, out_dir, merge_policy=None, connectivity=DEFAULT_CONNECTIVITY,
-                          max_attempts=1):
+def run_sample_sequential(sample, backends, out_dir, merge_policy=Threshold(), *, max_attempts=1):
     """``run_sample`` with its attempts run by :func:`run_attempt_sequential`."""
-    policy = Threshold() if merge_policy is None else merge_policy
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for attempt in range(1, max_attempts + 1):
-        record = run_attempt_sequential(sample, backends, out_dir, policy, connectivity, attempt)
+        record = run_attempt_sequential(sample, backends, out_dir, merge_policy, attempt)
         if record.status != "filtered":
             break
     return record
@@ -747,10 +745,10 @@ def cmd_merge_sequential(args) -> dict:
     s_src = _read_structure(args.src)
     s_tgt = _read_structure(args.tgt)
     policy = _policy_from_args(args)
-    merged, mask = voxel_merge(s_src, s_tgt, args.connectivity, policy)
+    merged, mask = voxel_merge(s_src, s_tgt, policy=policy)
     write_nvx(merged, args.out)
     if args.mask_out:
-        report = json.dumps(_mask_report(mask, policy, args.connectivity), separators=(",", ":"))
+        report = json.dumps(_mask_report(mask, policy), separators=(",", ":"))
         Path(args.mask_out).write_text(report + "\n", encoding="utf-8")
     return {
         "out": str(args.out),

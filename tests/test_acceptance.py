@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute.
 """
+import dataclasses
 import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -84,7 +85,8 @@ def merge_suite():
         policies = (Threshold(int(rng.integers(0, 120))), TopK(int(rng.integers(0, 6))))
         for connectivity in (6, 18, 26):
             for policy in policies:
-                merged, mask = voxel_merge(src, tgt, connectivity, policy)
+                policy = dataclasses.replace(policy, connectivity=connectivity)
+                merged, mask = voxel_merge(src, tgt, policy=policy)
                 expected = np.where(dense_mask(mask, 16), tgt_d, src_d)
                 if not np.array_equal(dense(merged), expected):
                     mismatches += 1

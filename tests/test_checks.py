@@ -3,6 +3,7 @@ by one rule, ``grid.check_int`` or ``grid.check_real``: a bool, a string,
 a non-integral or non-finite number, or a value out of range raises an
 error that names the field, and is never truncated or parsed."""
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from voxedit.errors import ChannelMismatch
 from voxedit.flow import FlowEditConfig, linear_schedule
 from voxedit.grid import check_int, check_real, check_resolution
 from voxedit.merge import Threshold, TopK
-from voxedit.pipeline import ManifestRecord, MockGeneratorBackend, SampleSpec, mock_backend_suite, run_pipeline, \
-    run_sample
+from voxedit.pipeline import ManifestRecord, MockGeneratorBackend, SampleSpec, mock_backend_suite, record_to_line, \
+    run_pipeline, run_sample
 
 NOT_INTEGERS = (True, False, 1.5, "3", float("nan"), float("inf"), None)
 NOT_REALS = (True, False, "3", float("nan"), float("inf"), -float("inf"), None)
@@ -33,6 +34,8 @@ INT_SITES = {
     "linear_schedule": ("steps", lambda v, d: linear_schedule(v), 0, ValueError),
     "TopK": ("k", lambda v, d: TopK(v), -1, ValueError),
     "Threshold": ("tau", lambda v, d: Threshold(v), -1, ValueError),
+    "TopK.connectivity": ("connectivity", lambda v, d: TopK(1, v), 7, ValueError),
+    "Threshold.connectivity": ("connectivity", lambda v, d: Threshold(connectivity=v), 7, ValueError),
     "ManifestRecord.attempt": ("attempt", lambda v, d: ManifestRecord(id="s", attempt=v), 0, ValueError),
     "MockGeneratorBackend": ("channel", lambda v, d: MockGeneratorBackend(resolution=8, channels=v), 0,
                              ChannelMismatch),
@@ -57,6 +60,35 @@ def test_every_integer_site_rejects_what_is_not_an_integer_in_range(site, tmp_pa
         call(out_of_range, out_dir)
     # nothing is written before the check
     assert not out_dir.exists()
+
+
+def test_a_checked_int_is_stored_as_an_int():
+    config = FlowEditConfig(steps=np.int64(25), n_max=np.int32(15), n_min=np.uint8(2), n_avg=np.int16(3),
+                            rng_seed=np.uint64(7))
+    assert {type(getattr(config, name)) for name in ("steps", "n_max", "n_min", "n_avg", "rng_seed")} == {int}
+    assert json.dumps(Threshold(np.uint8(7), np.int64(6)).describe()) == \
+        '{"kind": "threshold", "tau": 7, "connectivity": 6}'
+    assert json.dumps(TopK(np.int64(1)).describe()) == '{"kind": "top_k", "k": 1, "connectivity": 26}'
+    assert '"attempt":2,' in record_to_line(ManifestRecord(id="a", attempt=np.int64(2)))
+
+
+def bare_check_int_calls(source: str) -> list:
+    """Line numbers of the ``check_int(...)`` calls in ``source`` that are
+    statements on their own, so the int they return is thrown away."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", getattr(node.value.func, "attr", None)) == "check_int"]
+
+
+def test_no_check_int_call_throws_its_int_away():
+    """The int that ``check_int`` returns is the one a site stores or uses:
+    a bare call would keep the caller's value, a numpy integer say, which
+    ``json`` cannot write."""
+    stray = "n = check_int('n', n, 0)\ncheck_int('n', n, 0)\nf(check_int('n', n, 0))\ngrid.check_int('k', k, 0)\n"
+    assert bare_check_int_calls(stray) == [2, 4]
+    package = Path(grid.__file__).parent
+    found = {path.name: bare_check_int_calls(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 @pytest.mark.parametrize("field", ("cfg_source_scale", "cfg_target_scale", "lambda_src"))

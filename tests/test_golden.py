@@ -4,8 +4,8 @@ Each mesh case builds its input mesh here from exact arithmetic (IEEE sums,
 products and square roots, no libm), writes it as an OBJ, runs ``voxelize``
 and then ``surface`` through the CLI in the test's own directory, and pins
 the digest of every file and of both commands' stdout.  The other commands
-run on small NVX files that a seeded generator writes, and ``pipeline run``
-pins one table at one and at two workers.  The oracle tests
+run on small NVX files that a seeded generator writes, and each ``pipeline
+run`` table is pinned at one and at two workers.  The oracle tests
 compare each fast path with a reference at the same commit; this table
 instead pins the bytes across commits and across numpy versions.  A change
 that alters these bytes on purpose updates the digest and says why.
@@ -139,6 +139,11 @@ EDIT_CASES = {
         ("slat-merge-all", ["slat-merge", "--src-slat", "zs.nvx", "--tgt-slat", "zt.nvx", "--merged", "tgt.nvx",
                             "--mask-all", "--out", "z_all.nvx"], ["z_all.nvx"]),
     ],
+    # a rule other than the default's: top-k at face connectivity
+    "merge-top-k-6": [
+        ("merge", ["merge", "--src", "src.nvx", "--tgt", "tgt.nvx", "--top-k", "2", "--connectivity", "6",
+                   "--out", "m.nvx", "--mask-out", "mask.json"], ["m.nvx", "mask.json"]),
+    ],
     "flow": [
         # --n-min 2 runs two plain steps after the edit steps
         ("flowedit", ["flowedit", *FLOW, "--n-min", "2", "--oracle", "gaussian", "--src-mean", "0,1",
@@ -167,6 +172,11 @@ EDIT_GOLDEN = {
         "z.nvx": "71cbcc200216d544b9974ada4bbb1f2ce24a5469c1397b0d674d266dc5256e4c",
         "slat-merge-all.stdout": "49a6e25fed21a85fc0c3b6defa0459df1c03722755d73ade1be394045b06a827",
         "z_all.nvx": "697559dbb00a679e464de38d3ec2a14edfc0c55620dff967f30ab99d750c5a8b",
+    },
+    "merge-top-k-6": {
+        "merge.stdout": "ff5ae44abb2d4b5a9fbcee931f95bf25fafe29ad7712e09229d8760c156a857a",
+        "m.nvx": "30292263087673b9cd9448dc5dcc7812975e16dc21b05b627496e320bd213cd3",
+        "mask.json": "08c8609ef5c72a4e1c27f7935be17d2b48683cbb1029fab03f3f64b09541b66d",
     },
     "flow": {
         "flowedit.stdout": "92f31766634f38fb3ff856a1e072bcf1fd842edd5c797c799cc505d01ef4fc70",
@@ -221,11 +231,51 @@ PIPELINE_GOLDEN = {
 }
 
 
+def pipeline_digests(workdir, capsys, flags, workers) -> dict:
+    """Digests of ``pipeline run --out-dir p --samples 4 --resolution 16
+    --max-attempts 2`` with ``flags``: its stdout and every file in ``p``."""
+    argv = ["pipeline", "run", "--out-dir", "p", "--samples", "4", *flags, "--resolution", "16",
+            "--max-attempts", "2", "--workers", str(workers)]
+    outputs = run_steps(workdir, capsys, [("pipeline", argv, [])])
+    outputs.update((f"p/{path.name}", path.read_bytes()) for path in sorted((workdir / "p").iterdir()))
+    return digests(outputs)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pipeline_run_bytes_equal_golden_digests_at_any_worker_count(workers, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    argv = ["pipeline", "run", "--out-dir", "p", "--samples", "4", "--seed", "1", "--resolution", "16",
-            "--max-attempts", "2", "--workers", str(workers)]
-    outputs = run_steps(tmp_path, capsys, [("pipeline", argv, [])])
-    outputs.update((f"p/{path.name}", path.read_bytes()) for path in sorted((tmp_path / "p").iterdir()))
-    assert digests(outputs) == PIPELINE_GOLDEN
+    assert pipeline_digests(tmp_path, capsys, ["--seed", "1"], workers) == PIPELINE_GOLDEN
+
+
+# the manifest pins each record's policy, connectivity 18 included
+PIPELINE_TOP_K_18_GOLDEN = {
+    "pipeline.stdout": "10ae8f8b5494aeb9eca6e391b88f6ec2e28af98ea893dc12aaba529757f4d6f8",
+    "p/manifest.jsonl": "c3df35617f47ab7fa438ec79f95312ed35d59a018987c14b8c7429ddcf685d91",
+    "p/sample-000000.merged.nvx": "5f75744656c0b71315e481c5ab780758fa62a387396af286b206277a9818449e",
+    "p/sample-000000.merged_slat.nvx": "a0f8240dfab7b918f3a9b69696627661de433fdf8bc6fb68d45b90e27baac975",
+    "p/sample-000000.src.nvx": "8c62916191183a5ccf07ee4755a065eeb4c1faa4b5c3c4df6a4d0f4d2dc8c427",
+    "p/sample-000000.src_slat.nvx": "5c449be089bdded3d2d08548f7bffb9865eb8314b44f36a802c078f19b4b7108",
+    "p/sample-000000.tgt.nvx": "de75e76286152c18cfaaa17c2396c524d0e4f1bce6f3cf73d1392c26cdfecdb3",
+    "p/sample-000001.merged.nvx": "104780d3c7b282d498316a42de9edc04e04be18dcabf81d557e99ae46a45321c",
+    "p/sample-000001.merged_slat.nvx": "b0b78e1734305fe1e79c90795ac03cd36dfcbc4fdd5377d32fd51d52dacc820e",
+    "p/sample-000001.src.nvx": "4dbf88e019cdab6d74fc4d8cfdc710053e9de1b243c17ea981b52cedc4eb1bd4",
+    "p/sample-000001.src_slat.nvx": "95f047eb44c8294f44cfdcf8e9b31339d6af271912f7e0f1fb946524eea8295c",
+    "p/sample-000001.tgt.nvx": "2d772a58524e3a3c0df16adb26b3c45a57e3e4919e858c2f3fca94716dfc2b78",
+    "p/sample-000002.merged.nvx": "3e51ff21f59e5726bb110bc23f3831ea6a52480472667869aaed3d6c5e21c409",
+    "p/sample-000002.merged_slat.nvx": "0a838f5cdd56fb7b70acb07efd0cddefa59ced0a01f1268c2bb2b1c9f6ea2515",
+    "p/sample-000002.src.nvx": "9b5fc338c90e6bfc91071362566b058728f384eca045b800c120d8fda8823e4f",
+    "p/sample-000002.src_slat.nvx": "67af13cc8a15f2720a79588ab024df3d7c0ad30ced89377d63daff703259b107",
+    "p/sample-000002.tgt.nvx": "fb45d7bae9e78109da74aa1aec292e1686a57ae573dec07f8155f7ce4367b3a3",
+    "p/sample-000003.merged.nvx": "085444b9efc31f624b852507a382c74268a9406bc62acee3d836ca4b0f4497d5",
+    "p/sample-000003.merged_slat.nvx": "612606b62045f850d30dc00c5f149471d6da3fbb21956836e2a26e49b4b06525",
+    "p/sample-000003.src.nvx": "464f89d26cbc26bb9a77197e2457a13085bab7e46e375edb26933f8affdd593d",
+    "p/sample-000003.src_slat.nvx": "5ae506c4ce4c6e6cc6f5faf6c8b75b66d197ca51504422431d5791b57beefc93",
+    "p/sample-000003.tgt.nvx": "5836a193b55a2a09b953426bca74d3f84fb0bef1662af5170a2bb407788b0310",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pipeline_run_top_k_at_connectivity_18_bytes_equal_golden_digests(workers, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    flags = ["--seed", "3", "--top-k", "1", "--connectivity", "18"]
+    assert pipeline_digests(tmp_path, capsys, flags, workers) == PIPELINE_TOP_K_18_GOLDEN

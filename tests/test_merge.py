@@ -381,7 +381,7 @@ def test_merge_planted_blob_with_specks():
     specks = [(12, 12, 12), (14, 1, 14), (1, 14, 1), (14, 14, 2), (8, 14, 14)]
     flip = make_sparse(blob + specks, 16)
     tgt = apply_flip(src, mask_all(flip))
-    merged, mask = voxel_merge(src, tgt, connectivity=26, policy=Threshold(100))
+    merged, mask = voxel_merge(src, tgt, policy=Threshold(100, 26))
     assert sorted(mask.selected_sizes, reverse=True) == [150]
     # blob region transferred, specks untouched
     blob_set = set(blob)

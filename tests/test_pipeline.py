@@ -2,6 +2,7 @@ import json
 import threading
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from voxedit import (
     UnknownAction,
     append_record,
     load_manifest,
+    make_sparse,
     mock_backend_suite,
     read_nvx,
     region_consistency,
     render_instruction,
     run_pipeline,
     run_sample,
+    voxel_merge,
 )
 from voxedit.merge import apply_flip, diff_xor, label_components, select_components, TopK
 from voxedit import pipeline
@@ -530,20 +533,50 @@ def test_pipeline_rejects_bad_arguments_before_writing(tmp_path):
     out_dir = tmp_path / "run"
     manifest = run_pipeline(out_dir, n_samples=1, seed=0, backends=mock_backend_suite(16, 4))
     before = manifest.read_bytes()
-    for bad, named in (({"n_samples": 2.5}, "n_samples"), ({"workers": 1.5}, "workers"),
-                       ({"max_attempts": True}, "max_attempts"), ({"manifest_name": ".."}, "manifest name"),
-                       ({"manifest_name": "."}, "manifest name"), ({"manifest_name": ""}, "manifest name"),
-                       ({"connectivity": 7}, "connectivity"), ({"connectivity": 6.0}, "connectivity"),
-                       ({"connectivity": True}, "connectivity"), ({"seed": 1.0}, "seed"),
-                       ({"seed": True}, "seed"), ({"seed": "1"}, "seed")):
+    # describes itself like a policy, but is not one
+    duck = SimpleNamespace(describe=lambda: {"kind": "threshold", "tau": 3, "connectivity": 26}, tau=3,
+                           connectivity=26)
+    for bad, error, named in (({"n_samples": 2.5}, ValueError, "n_samples"), ({"workers": 1.5}, ValueError, "workers"),
+                              ({"max_attempts": True}, ValueError, "max_attempts"),
+                              ({"manifest_name": ".."}, ValueError, "manifest name"),
+                              ({"manifest_name": "."}, ValueError, "manifest name"),
+                              ({"manifest_name": ""}, ValueError, "manifest name"),
+                              ({"seed": 1.0}, ValueError, "seed"), ({"seed": True}, ValueError, "seed"),
+                              ({"seed": "1"}, ValueError, "seed"),
+                              ({"merge_policy": "abc"}, TypeError, "unknown selection policy"),
+                              ({"merge_policy": None}, TypeError, "unknown selection policy"),
+                              ({"merge_policy": duck}, TypeError, "unknown selection policy")):
         kwargs = {"n_samples": 1, "seed": 0, "backends": mock_backend_suite(16, 4)} | bad
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(error, match=named):
             run_pipeline(out_dir, **kwargs)
         # an earlier run's manifest is neither truncated nor appended to
         assert manifest.read_bytes() == before, bad
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             run_pipeline(tmp_path / "fresh", **kwargs)
         assert not (tmp_path / "fresh").exists(), bad
+    # the connectivity is the policy's, checked when the policy is built
+    for build in (lambda: Threshold(connectivity=7), lambda: TopK(1, 6.0), lambda: Threshold(connectivity=True)):
+        with pytest.raises(ValueError, match="connectivity"):
+            build()
+    assert type(TopK(1, np.int64(6)).connectivity) is int
+
+
+def test_pipeline_stores_a_numpy_policy_as_its_ints(tmp_path):
+    kwargs = {"n_samples": 2, "seed": 1, "backends": mock_backend_suite(16, 4)}
+    plain = run_pipeline(tmp_path / "plain", merge_policy=TopK(1, 6), **kwargs).read_bytes()
+    assert run_pipeline(tmp_path / "numpy", merge_policy=TopK(np.int64(1), np.int64(6)), **kwargs).read_bytes() == plain
+
+
+def test_old_positional_connectivity_calls_raise(tmp_path):
+    """``connectivity`` is the policy's now; a call that still passes it by
+    position fails rather than landing in the next parameter."""
+    s = make_sparse([(0, 0, 0)], 8)
+    with pytest.raises(TypeError):
+        voxel_merge(s, s, 6, TopK(1))
+    spec = SampleSpec(id="s", image_ref="mock-image://old/0", seed=1)
+    with pytest.raises(TypeError):
+        run_sample(spec, mock_backend_suite(16, 4), tmp_path / "out", TopK(1), 6)
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_topk_policy(tmp_path):
