@@ -264,19 +264,36 @@ def slat_merge(
     # the mask rows, found from the mask side; mask voxels not in ``merged`` are ignored
     hit, rows = membership(out_lin, mask.key)
     rows = rows[hit]
-    found, tgt_pos = membership(z_tgt.key, out_lin[rows])
+    mask_lin = out_lin[rows]
+    found, tgt_pos = membership(z_tgt.key, mask_lin)
     if not found.all():
-        raise _missing(out_lin[rows], found, resolution, "target")
-    found, pos = membership(z_src.key, out_lin)
-    found[rows] = True
+        raise _missing(mask_lin, found, resolution, "target")
+    # Every row outside the mask sits in both sorted key sets in the same
+    # order, so one linear merge finds the few keys that only one side
+    # holds, and only those and the mask rows are looked up.
+    odd = _xor_sorted(z_src.key, out_lin)
+    in_src, src_pos = membership(z_src.key, odd)
+    lacking = odd[~in_src]  # merged rows the source lacks: each must be a mask row
+    found = membership(mask_lin, lacking)[0]
     if not found.all():
-        raise _missing(out_lin, found, resolution, "source")
+        raise _missing(lacking, found, resolution, "source")
+    # the source rows the outside rows copy, in order: all but those that
+    # ``merged`` lacks and those that take the target's latent
+    keep = np.ones(z_src.voxel_sum, dtype=bool)
+    keep[src_pos[in_src]] = False
+    found, pos = membership(z_src.key, mask_lin)
+    keep[pos[found]] = False
+    outside = np.ones(len(out_lin), dtype=bool)
+    outside[rows] = False
+    pos = np.zeros(len(out_lin), dtype=np.int64)
+    pos[outside] = np.flatnonzero(keep)
+    del keep, outside
     # one gather builds every row from the source, then the mask rows take the target's
     if z_src.voxel_sum:
-        out = z_src.latents[pos]
+        out = z_src.latents.take(pos, axis=0)
     else:  # every row is a mask row, and ``pos`` points into an empty array
         out = np.empty((len(out_lin), z_src.channels), dtype=z_src.latents.dtype)
-    del found, pos  # N-row lookups, freed before the target rows are gathered
+    del pos  # an N-row index, freed before the target rows are gathered
     out[rows] = z_tgt.latents[tgt_pos]
     return StructuredLatent(resolution=resolution, coords=merged.coords, latents=out, key=out_lin)
 

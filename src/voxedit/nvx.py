@@ -13,9 +13,9 @@ Little-endian layout::
 """
 from __future__ import annotations
 
+import os
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
@@ -120,9 +120,44 @@ def write_nvx(payload, path) -> None:
         fh.writelines(chunks)
 
 
+def _read_aligned(path) -> memoryview:
+    """The bytes of a file, read once into a buffer placed so that an NVX
+    payload's coords and latents start at aligned addresses (numpy copies
+    a whole unaligned array before it gathers rows from it).  Never seeks,
+    so a pipe reads too."""
+    with open(path, "rb") as fh:
+        head = fh.read(4 + _HEADER.size + _CHANS.size)
+        size = max(os.fstat(fh.fileno()).st_size, len(head))  # a pipe's is 0
+        view = _aligned_buffer(head, size)
+        view[:len(head)] = head
+        n = len(head) + fh.readinto(view[len(head):])
+        rest = fh.read()  # what a pipe holds beyond the head
+    if not rest:
+        return view[:n]
+    grown = _aligned_buffer(head, n + len(rest))
+    grown[:n] = view[:n]
+    grown[n:] = rest
+    return grown
+
+
+def _aligned_buffer(head: bytes, size: int) -> memoryview:
+    """A ``size``-byte buffer for the file that starts with ``head``, past a
+    pad of up to 3 bytes that aligns its coords (u16) and latents (f32)."""
+    buf = np.empty(size + 3, dtype=np.uint8)
+    address = buf.__array_interface__["data"][0]
+    pad = 0  # a head too short to decode is reported by the decoder
+    if len(head) >= 4 + _HEADER.size:
+        kind, _, count = _HEADER.unpack_from(head, 4)
+        if kind == KIND_LATENT:
+            pad = -(address + 4 + _HEADER.size + _CHANS.size + 6 * count) % 4
+        else:
+            pad = -(address + 4 + _HEADER.size) % 2
+    return memoryview(buf)[pad:pad + size]
+
+
 def _decode_file(path) -> tuple:
     """``(bytes, payload)`` of an NVX file; a content error keeps its type and names the file."""
-    data = Path(path).read_bytes()
+    data = _read_aligned(path)
     try:
         return data, decode_nvx(data)
     except NvxError as exc:

@@ -13,7 +13,9 @@ formula that built three int64 temporaries, the Chamfer that queried
 every voxel on balanced KD-trees, the ``np.unique`` canonicalization
 that ``make_sparse`` ran before it deduplicated by sort and compare, the
 Slat-Merge that gathered each side through a boolean row mask before it
-built its output in one gather, the key-to-coords decode that stacked
+built its output in one gather, the Slat-Merge that binary-searched every
+merged voxel in the source before one linear merge found the few keys
+only one side holds, the key-to-coords decode that stacked
 int64 divmod results, the FlowEdit loop that drew each noise sample
 inline and combined the velocities in fresh temporaries, and the dense
 grid and per-component split that the library no longer provides.  The
@@ -612,6 +614,20 @@ class LatentReject(Exception):
     a latent and the voxel, as the library's ``MissingLatent`` reports them."""
 
 
+def _member(keys, query):
+    """For each query key: is it in the sorted ``keys``, and where (clamped)."""
+    if len(keys) == 0:
+        return np.zeros(len(query), dtype=bool), np.zeros(len(query), dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return keys[pos] == query, pos
+
+
+def _reject_first(lin, found, resolution: int, side: str) -> LatentReject:
+    """The reject for the first key of ``lin`` (in linear order) not ``found``."""
+    x, rem = divmod(int(lin[~found][0]), resolution * resolution)
+    return LatentReject(side, (x, *divmod(rem, resolution)))
+
+
 def slat_merge_masked(resolution: int, src_coords, src_lat, tgt_coords, tgt_lat, mask_coords, merged_coords):
     """The Slat-Merge before its one gather: a boolean in-mask row flag
     from three ``searchsorted`` lookups, then each side gathered through
@@ -619,20 +635,12 @@ def slat_merge_masked(resolution: int, src_coords, src_lat, tgt_coords, tgt_lat,
     the merged latents or raises :class:`LatentReject` for the first
     missing voxel in linear order, target side first."""
     out_lin = _linear(np.asarray(merged_coords).reshape(-1, 3), resolution)
-
-    def member(keys, query):
-        if len(keys) == 0:
-            return np.zeros(len(query), dtype=bool), np.zeros(len(query), dtype=np.int64)
-        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        return keys[pos] == query, pos
-
-    in_mask, _ = member(_linear(np.asarray(mask_coords).reshape(-1, 3), resolution), out_lin)
+    in_mask, _ = _member(_linear(np.asarray(mask_coords).reshape(-1, 3), resolution), out_lin)
 
     def gather(coords, lat, wanted, side):
-        found, pos = member(_linear(np.asarray(coords).reshape(-1, 3), resolution), wanted)
+        found, pos = _member(_linear(np.asarray(coords).reshape(-1, 3), resolution), wanted)
         if not np.all(found):
-            x, rem = divmod(int(wanted[~found][0]), resolution * resolution)
-            raise LatentReject(side, (x, *divmod(rem, resolution)))
+            raise _reject_first(wanted, found, resolution, side)
         return lat[pos]
 
     out = np.empty((len(out_lin), src_lat.shape[1]), dtype=src_lat.dtype)
@@ -640,6 +648,31 @@ def slat_merge_masked(resolution: int, src_coords, src_lat, tgt_coords, tgt_lat,
         out[in_mask] = gather(tgt_coords, tgt_lat, out_lin[in_mask], "target")
     if (~in_mask).any():
         out[~in_mask] = gather(src_coords, src_lat, out_lin[~in_mask], "source")
+    return out
+
+
+def slat_merge_searchsorted(z_src, z_tgt, mask, merged):
+    """The Slat-Merge before its linear merge of the two key sets: every
+    merged voxel is binary-searched in the source's key, then one gather
+    builds every row from the source and the mask rows take the target's.
+    Returns the merged latents or raises :class:`LatentReject` as
+    :func:`slat_merge_masked` does."""
+    r = merged.resolution
+    out_lin = _linear(merged.coords, r)
+    hit, rows = _member(out_lin, _linear(mask.coords, r))
+    rows = rows[hit]
+    found, tgt_pos = _member(_linear(z_tgt.coords, r), out_lin[rows])
+    if not found.all():
+        raise _reject_first(out_lin[rows], found, r, "target")
+    found, pos = _member(_linear(z_src.coords, r), out_lin)
+    found[rows] = True
+    if not found.all():
+        raise _reject_first(out_lin, found, r, "source")
+    if z_src.voxel_sum:
+        out = z_src.latents[pos]
+    else:
+        out = np.empty((len(out_lin), z_src.channels), dtype=z_src.latents.dtype)
+    out[rows] = z_tgt.latents[tgt_pos]
     return out
 
 

@@ -298,6 +298,39 @@ def test_slat_merge_command(tmp_path, capsys):
     assert out_path.read_bytes() == encode_nvx(expected)
 
 
+def test_inspect_and_slat_merge_read_an_nvx_from_a_pipe(tmp_path, capsys):
+    """``/dev/stdin`` fed by a pipe, which cannot seek and whose size is not
+    known up front, reads as the file does; the file is larger than a pipe's
+    buffer, so the reader gets it in several parts."""
+    rng = np.random.default_rng(76)
+    src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=76, resolution=32)
+    for name, s in (("zs.nvx", src), ("zt.nvx", tgt)):
+        write_nvx(make_latent(s.coords, rng.standard_normal((s.voxel_sum, 12)).astype(np.float32), 32),
+                  tmp_path / name)
+    data = (tmp_path / "zs.nvx").read_bytes()
+    assert len(data) > 1 << 16
+    run_cli(capsys, "merge", "--src", str(src_path), "--tgt", str(tgt_path), "--tau", "5",
+            "--out", str(tmp_path / "m.nvx"), "--mask-out", str(tmp_path / "mask.json"))
+    rest = ["--tgt-slat", str(tmp_path / "zt.nvx"), "--merged", str(tmp_path / "m.nvx"),
+            "--mask", str(tmp_path / "mask.json")]
+    assert run_cli(capsys, "slat-merge", "--src-slat", str(tmp_path / "zs.nvx"), *rest,
+                   "--out", str(tmp_path / "z.nvx"))[0] == 0
+    _, inspected, _ = run_cli(capsys, "inspect", str(tmp_path / "zs.nvx"))
+
+    package_root = str(Path(voxedit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+    def piped(*argv):
+        result = subprocess.run([sys.executable, "-m", "voxedit.cli", *argv], input=data,
+                                capture_output=True, env=env)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    assert piped("inspect", "/dev/stdin") == {**json.loads(inspected), "path": "/dev/stdin"}
+    piped("slat-merge", "--src-slat", "/dev/stdin", *rest, "--out", str(tmp_path / "piped.nvx"))
+    assert (tmp_path / "piped.nvx").read_bytes() == (tmp_path / "z.nvx").read_bytes()
+
+
 def test_slat_merge_mask_all(tmp_path, capsys):
     rng = np.random.default_rng(74)
     s = make_sparse(random_structure_coords(rng, 8, 0.1), 8)

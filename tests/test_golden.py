@@ -11,6 +11,7 @@ instead pins the bytes across commits and across numpy versions.  A change
 that alters these bytes on purpose updates the digest and says why.
 """
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -203,6 +204,55 @@ def test_edit_command_bytes_equal_golden_digests(case, tmp_path, monkeypatch, ca
     monkeypatch.chdir(tmp_path)
     write_edit_inputs(tmp_path)
     assert digests(run_steps(tmp_path, capsys, EDIT_CASES[case])) == EDIT_GOLDEN[case]
+
+
+# Hand-built 16^3 input whose added parts meet only along an edge and only at
+# a corner, so ``merge --top-k 1`` keeps one part at connectivity 6, the
+# edge-joined pair at 18 and all three at 26: m.nvx differs at each.
+CONTACT_GOLDEN = {
+    6: {
+        "merge.stdout": "e6e962287a6afa6ef8c7922877897ef577b6f83ff3e4012878662a430eda24d1",
+        "m.nvx": "596fd49d7c3374650cfd9bfe6644854692af47226589938a2a903f601f4f517a",
+        "mask.json": "12ea8681cfaa8b7f0032221131adbb53ad1d2696fada76e13c8dc555f1cf8159",
+    },
+    18: {
+        "merge.stdout": "971bdc713ec9f5275e49c92e1a6b991bf3039ea2ecec496063754f1292e1f172",
+        "m.nvx": "67c88be8eaf38c26ff3dc77ca8f508b0c36fdf52afb0507a5f75c2d9a83092f0",
+        "mask.json": "053eae35cd908aeeca230c31e78b0b579484d71db9921e9dff67b0dcae6b94cb",
+    },
+    26: {
+        "merge.stdout": "157e3c2651a52ab60b61cf74a0fbf241d8f6f613bca1e74856fceab856671f85",
+        "m.nvx": "0a6f7f693dcc2d09df583b535e8b1d05dc1d0020abea3463a5fa87b72f4fe3e9",
+        "mask.json": "3be2b2737123a91d5c9cc162a55e2184c0f3850f3b2899f90a88790e90cff4c5",
+    },
+}
+
+
+def write_contact_inputs(workdir) -> None:
+    """A 3^3 source block, and a target that keeps it and adds a 4^3 block,
+    a 2x2x4 bar that meets the block only along an edge ((5, 5, z) and
+    (6, 6, z)), and a 2^3 cube that meets it only at a corner ((1, 1, 1) and
+    (2, 2, 2))."""
+    def box(lo, hi):
+        return list(itertools.product(*(range(a, b) for a, b in zip(lo, hi))))
+
+    kept = box((10, 10, 10), (13, 13, 13))
+    added = box((2, 2, 2), (6, 6, 6)) + box((6, 6, 2), (8, 8, 6)) + box((0, 0, 0), (2, 2, 2))
+    write_nvx(make_sparse(kept, 16), workdir / "src.nvx")
+    write_nvx(make_sparse(kept + added, 16), workdir / "tgt.nvx")
+
+
+@pytest.mark.parametrize("connectivity", CONTACT_GOLDEN)
+def test_top_k_merge_at_each_connectivity_bytes_equal_golden_digests(connectivity, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_contact_inputs(tmp_path)
+    steps = [("merge", ["merge", "--src", "src.nvx", "--tgt", "tgt.nvx", "--top-k", "1", "--connectivity",
+                        str(connectivity), "--out", "m.nvx", "--mask-out", "mask.json"], ["m.nvx", "mask.json"])]
+    assert digests(run_steps(tmp_path, capsys, steps)) == CONTACT_GOLDEN[connectivity]
+
+
+def test_the_contact_merges_differ_at_each_connectivity():
+    assert len({golden["m.nvx"] for golden in CONTACT_GOLDEN.values()}) == len(CONTACT_GOLDEN) == 3
 
 
 PIPELINE_GOLDEN = {

@@ -18,9 +18,11 @@ from voxedit import (
     label_components,
     make_latent,
     make_sparse,
+    read_nvx,
     select_components,
     slat_merge,
     voxel_merge,
+    write_nvx,
 )
 from voxedit import merge
 from voxedit.merge import CONNECTIVITIES, mask_all
@@ -35,6 +37,7 @@ from oracles import (
     random_structure_coords,
     select_components_concat,
     slat_merge_masked,
+    slat_merge_searchsorted,
     split_components,
 )
 
@@ -531,18 +534,26 @@ def test_slat_merge_equals_the_masked_gather_oracle(case):
         want = slat_merge_masked(r, z_src.coords, z_src.latents, z_tgt.coords, z_tgt.latents,
                                  mask.coords, merged.coords)
     except LatentReject as reject:
+        with pytest.raises(LatentReject) as searched:
+            slat_merge_searchsorted(z_src, z_tgt, mask, merged)
+        assert searched.value.args == reject.args
         with pytest.raises(MissingLatent) as err:
             slat_merge(z_src, z_tgt, mask, merged)
         assert (err.value.side, err.value.coord) == reject.args
         return
+    searched = slat_merge_searchsorted(z_src, z_tgt, mask, merged)
     out = slat_merge(z_src, z_tgt, mask, merged)
     assert np.array_equal(out.coords, merged.coords)
-    assert out.latents.dtype == want.dtype and out.latents.shape == want.shape
-    assert out.latents.tobytes() == want.tobytes()
+    for ref in (want, searched):
+        assert out.latents.dtype == ref.dtype and out.latents.shape == ref.shape
+        assert out.latents.tobytes() == ref.tobytes()
     assert not out.latents.flags.writeable
 
 
-def test_slat_merge_peak_memory_is_the_output_plus_row_indices():
+@pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])
+def test_slat_merge_peak_memory_is_the_output_plus_row_indices(read_back, tmp_path):
+    """Read back through the codec, the latents are views of the file's
+    buffer; a gather that first copies its (unaligned) source breaks the bound."""
     rng = np.random.default_rng(38)
     src = make_sparse(random_structure_coords(rng, 64, 0.19), 64)
     grid = dense(src)
@@ -550,6 +561,10 @@ def test_slat_merge_peak_memory_is_the_output_plus_row_indices():
     tgt = SparseStructure.from_dense(grid)
     merged, mask = voxel_merge(src, tgt, policy=TopK(1))
     z_src, z_tgt = random_latent_for(src, rng), random_latent_for(tgt, rng)
+    if read_back:
+        write_nvx(z_src, tmp_path / "zs.nvx")
+        write_nvx(z_tgt, tmp_path / "zt.nvx")
+        z_src, z_tgt = read_nvx(tmp_path / "zs.nvx"), read_nvx(tmp_path / "zt.nvx")
     n = merged.voxel_sum
     assert 45_000 < n < 55_000 and mask.voxel_sum > 1000
     tracemalloc.start()

@@ -1,4 +1,5 @@
 import struct
+import subprocess
 import zlib
 
 import numpy as np
@@ -143,6 +144,26 @@ def test_noncanonical_order_rejected():
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
     with pytest.raises(MalformedNvx):
         decode_nvx(bytes(buf))
+
+
+@pytest.mark.parametrize("via", ["file", "pipe"])
+@pytest.mark.parametrize("kind, count", [("latent", 5), ("latent", 6), ("occupancy", 5)])
+def test_read_nvx_returns_aligned_arrays(tmp_path, kind, count, via):
+    """A latent file's coords start at an odd byte (13) and its latents at
+    13 + 6 * count; the reader still hands out aligned arrays, also from a
+    pipe, whose size it learns only by reading it."""
+    s = make_sparse([(i, 2 * i, 3) for i in range(count)], 16)
+    payload = s if kind == "occupancy" else make_latent(s.coords, np.ones((count, 3), dtype=np.float32), 16)
+    write_nvx(payload, tmp_path / "p.nvx")
+    if via == "file":
+        back = read_nvx(tmp_path / "p.nvx")
+    else:
+        with subprocess.Popen(["cat", str(tmp_path / "p.nvx")], stdout=subprocess.PIPE) as cat:
+            back = read_nvx(f"/dev/fd/{cat.stdout.fileno()}")
+    assert back == payload
+    arrays = [back.coords] if kind == "occupancy" else [back.coords, back.latents]
+    for a in arrays:
+        assert a.flags.aligned
 
 
 def test_missing_file_raises_oserror(tmp_path):
