@@ -54,7 +54,6 @@ from .merge import (
     apply_flip,
     diff_xor,
     label_components,
-    mask_all,
     select_components,
     slat_merge,
     voxel_merge,

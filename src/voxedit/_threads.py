@@ -22,8 +22,12 @@ def _run_in_turn(thunks, catch) -> list:
 
 @contextlib.contextmanager
 def helper():
-    """Yield a :func:`split` that runs the odd thunks of every call on the
-    same helper thread, which is joined when the block exits."""
+    """Yield ``split(*thunks)``, which runs the odd positions in order on
+    the block's one helper thread and the even ones on the calling thread.
+    Each side stops at its first failure.  ``split`` returns one finished
+    future per thunk in argument order, ``None`` for a thunk after its
+    side's failure, so reading them in order raises what running them in
+    turn would.  The helper is joined when the block exits."""
     with ThreadPoolExecutor(max_workers=1) as pool:
         def split_on_pool(*thunks) -> list:
             # the helper keeps even an interrupt, which only this thread can
@@ -37,16 +41,6 @@ def helper():
             return done
 
         yield split_on_pool
-
-
-def split(*thunks) -> list:
-    """Run ``thunks``: the odd positions in order on a helper thread that
-    this call owns and joins, the even ones on the calling thread.  Each
-    side stops at its first failure.  Returns one finished future per
-    thunk in argument order, ``None`` for a thunk after its side's failure,
-    so reading them in order raises what running them in turn would."""
-    with helper() as run:
-        return run(*thunks)
 
 
 @contextlib.contextmanager

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._threads import split
+from ._threads import helper
 from .errors import VoxeditError
 from .flow import AffineGaussianVelocityOracle, DeltaVelocityOracle, FlowEditConfig, euler_sample, flowedit_run
 from .grid import SparseStructure, StructuredLatent, make_sparse
@@ -28,7 +28,6 @@ from .merge import (
     TopK,
     diff_xor,
     label_components,
-    mask_all,
     slat_merge,
     voxel_merge,
 )
@@ -73,8 +72,9 @@ def _read_latent(path) -> StructuredLatent:
 
 
 def _read_inputs(*reads) -> list:
-    """``[read() for read in reads]``, read on two threads by ``split``."""
-    return [done.result() for done in split(*reads)]
+    """``[read() for read in reads]``, read on two threads by a ``helper``."""
+    with helper() as split:
+        return [done.result() for done in split(*reads)]
 
 
 def _mask_report(mask: FlipMask, policy) -> dict:
@@ -98,9 +98,10 @@ def _read_json_object(path, what: str) -> dict:
     return obj
 
 
-def _read_mask(path) -> FlipMask:
-    """The mask report that ``merge --mask-out`` writes; the file comes from
-    outside the program, so every field it uses is checked."""
+def _read_mask(path) -> SparseStructure:
+    """The voxels of the mask report that ``merge --mask-out`` writes; the
+    file comes from outside the program, so its fields are checked, the
+    size lists too, though only the voxels are read."""
     obj = _read_json_object(path, "mask report")
     sizes = obj.get("selected_sizes", []), obj.get("component_sizes", [])
     if not all(type(v) is list for v in sizes):
@@ -109,12 +110,10 @@ def _read_mask(path) -> FlipMask:
         if name not in obj:
             raise ValueError(f"mask report {path} lacks field {name!r}")
     try:
-        s = make_sparse(obj["coords"], obj["resolution"])
+        return make_sparse(obj["coords"], obj["resolution"])
     except (ValueError, VoxeditError) as exc:  # the same type, its message led by the file
         exc.args = (f"mask report {path}: {exc}",)
         raise
-    return FlipMask(resolution=s.resolution, coords=s.coords, key=s.key,
-                    selected_sizes=tuple(sizes[0]), component_sizes=tuple(sizes[1]))
 
 
 def _policy_from_args(args):
@@ -161,15 +160,11 @@ def cmd_merge(args) -> dict:
     s_src, s_tgt = _read_inputs(lambda: _read_structure(args.src), lambda: _read_structure(args.tgt))
     policy = _policy_from_args(args)
     merged, mask = voxel_merge(s_src, s_tgt, policy=policy)
-    # the helper writes the NVX while this thread encodes the report, which
-    # is written only once the NVX is: a failed NVX write is what gets raised
-    report, written = split(
-        # compact separators keep json on its C encoder; indent would not
-        lambda: json.dumps(_mask_report(mask, policy), separators=(",", ":")) if args.mask_out else None,
-        functools.partial(write_nvx, merged, args.out))
-    written.result()
+    write_nvx(merged, args.out)
     if args.mask_out:
-        Path(args.mask_out).write_text(report.result() + "\n", encoding="utf-8")
+        # compact separators keep json on its C encoder; indent would not
+        report = json.dumps(_mask_report(mask, policy), separators=(",", ":"))
+        Path(args.mask_out).write_text(report + "\n", encoding="utf-8")
     return {
         "out": str(args.out),
         "mask_out": str(args.mask_out) if args.mask_out else None,
@@ -186,7 +181,7 @@ def cmd_slat_merge(args) -> dict:
     if not args.mask_all:
         reads.append(lambda: _read_mask(args.mask))
     z_src, z_tgt, merged, *mask = _read_inputs(*reads)
-    mask = mask_all(merged) if args.mask_all else mask[0]
+    mask = merged if args.mask_all else mask[0]
     out = slat_merge(z_src, z_tgt, mask, merged)
     write_nvx(out, args.out)
     return {"out": str(args.out), "voxel_sum": out.voxel_sum, "channels": out.channels,

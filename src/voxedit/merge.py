@@ -100,10 +100,13 @@ class FlipMask(SparseStructure):
 
     ``component_sizes`` lists every component of the difference map it was
     selected from, in canonical order; ``selected_sizes`` the chosen ones.
+    Only :func:`select_components` builds one.  The mask consumers
+    (:func:`apply_flip`, :func:`slat_merge`, ``region_consistency``) read
+    its voxels alone, so any ``SparseStructure`` serves them as a mask.
     """
 
-    selected_sizes: tuple = ()
-    component_sizes: tuple = ()
+    selected_sizes: tuple
+    component_sizes: tuple
 
 
 def _xor_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,7 +221,7 @@ def select_components(cs: ComponentSet, policy) -> FlipMask:
     )
 
 
-def apply_flip(s_src: SparseStructure, mask: FlipMask) -> SparseStructure:
+def apply_flip(s_src: SparseStructure, mask: SparseStructure) -> SparseStructure:
     """Toggle occupancy exactly at the mask coords; everywhere else the
     source is untouched."""
     resolution = require_same_resolution(s_src, mask)
@@ -240,18 +243,10 @@ def voxel_merge(s_src: SparseStructure, s_tgt: SparseStructure, *,
     return apply_flip(s_src, mask), mask
 
 
-def mask_all(merged: SparseStructure) -> FlipMask:
-    """Escape-hatch mask covering every merged voxel, so a latent merge
-    takes the full target side.  Useful for pure-appearance edits where
-    the occupancy difference map is empty."""
-    return FlipMask(resolution=merged.resolution, coords=merged.coords, key=merged.key,
-                    selected_sizes=(merged.voxel_sum,))
-
-
 def slat_merge(
     z_src: StructuredLatent,
     z_tgt: StructuredLatent,
-    mask: FlipMask,
+    mask: SparseStructure,
     merged: SparseStructure,
 ) -> StructuredLatent:
     """Assemble the merged structure's latents: mask voxels copy the

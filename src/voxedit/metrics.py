@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import EmptySet
 from .grid import SparseStructure, linear_index, membership, require_same_resolution
-from .merge import FlipMask, diff_xor
+from .merge import diff_xor
 
 
 def _nn_sq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -91,7 +91,7 @@ def region_consistency(
     s_src: SparseStructure,
     s_tgt: SparseStructure,
     merged: SparseStructure,
-    mask: FlipMask,
+    mask: SparseStructure,
 ) -> ConsistencyReport:
     """Measure what a correct merge guarantees: outside the mask the merge
     equals the source, inside it the merge matches the target."""

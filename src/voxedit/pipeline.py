@@ -112,6 +112,10 @@ class ManifestRecord:
         if self.status not in STATUSES:
             raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
         self.attempt = check_int("attempt", self.attempt, 1)
+        # the manifest line spreads ``extra`` after the fields: a shared key would overwrite one
+        clash = sorted(self.extra.keys() & _RECORD_FIELDS)
+        if clash:
+            raise ValueError(f"extra keys {clash} name declared fields")
 
     def to_json_dict(self) -> dict:
         out = {name: getattr(self, name) for name in _RECORD_FIELDS}

@@ -39,7 +39,7 @@ from scipy.spatial import cKDTree
 
 from voxedit.cli import _mask_report, _policy_from_args, _read_latent, _read_mask, _read_structure
 from voxedit.errors import DimensionMismatch, NonFiniteState
-from voxedit.merge import Threshold, diff_xor, mask_all, slat_merge, voxel_merge
+from voxedit.merge import Threshold, diff_xor, slat_merge, voxel_merge
 from voxedit.metrics import chamfer_voxels, occupancy_iou, region_consistency
 from voxedit.nvx import write_nvx
 from voxedit.pipeline import ManifestRecord, SampleSpec, derive_seed, record_to_line
@@ -59,10 +59,6 @@ def split_components(cs) -> tuple:
         return ()
     grouped = cs.coords[np.argsort(cs.rank, kind="stable")]
     return tuple(np.split(grouped, np.cumsum(cs.sizes)[:-1]))
-
-
-def dense_xor(grid_a: np.ndarray, grid_b: np.ndarray) -> np.ndarray:
-    return grid_a ^ grid_b
 
 
 def neighbor_offsets(connectivity: int) -> list[tuple[int, int, int]]:
@@ -797,7 +793,7 @@ def cmd_slat_merge_sequential(args) -> dict:
     z_src = _read_latent(args.src_slat)
     z_tgt = _read_latent(args.tgt_slat)
     merged = _read_structure(args.merged)
-    mask = mask_all(merged) if args.mask_all else _read_mask(args.mask)
+    mask = merged if args.mask_all else _read_mask(args.mask)
     out = slat_merge(z_src, z_tgt, mask, merged)
     write_nvx(out, args.out)
     return {"out": str(args.out), "voxel_sum": out.voxel_sum, "channels": out.channels,

@@ -214,7 +214,7 @@ def test_commands_leave_no_thread_behind(command, inputs, tmp_path, capsys, monk
     capsys.readouterr()
 
 
-def test_merge_write_interrupted_on_the_helper_leaves_no_thread(inputs, tmp_path, monkeypatch):
+def test_merge_write_interrupted_leaves_no_thread_and_no_report(inputs, tmp_path, monkeypatch):
     def write_nvx_interrupted(payload, path):
         raise KeyboardInterrupt
 

@@ -8,6 +8,7 @@ from voxedit import (
     OutOfBounds,
     SparseStructure,
     StructuredLatent,
+    Threshold,
     TopK,
     TriMesh,
     apply_flip,
@@ -19,7 +20,6 @@ from voxedit import (
     slat_merge,
 )
 from voxedit.grid import coords_from_linear, linear_index, sparse_from_linear
-from voxedit.merge import mask_all
 from voxedit.nvx import decode_nvx, encode_nvx
 
 from oracles import coords_from_linear_stack, dense, linear_index_formula, make_sparse_unique, random_structure_coords
@@ -232,7 +232,6 @@ def _every_constructor(rng, resolution, density):
         "diff_xor": d,
         "select_components": mask,
         "apply_flip": merged,
-        "mask_all": mask_all(s),
         "make_latent": z_s,
         "slat_merge": slat_merge(z_s, z_t, mask, merged),
     }
@@ -277,7 +276,8 @@ def test_latent_never_equals_a_plain_structure():
     s = make_sparse([(0, 0, 0), (1, 2, 3)], 8)
     z = make_latent(s.coords, np.zeros((2, 1)), 8)
     plain = SparseStructure(resolution=z.resolution, coords=z.coords)
-    for occ in (s, mask_all(s), plain, decode_nvx(encode_nvx(s))):
+    every = select_components(label_components(s), Threshold(0))  # a FlipMask of every voxel
+    for occ in (s, every, plain, decode_nvx(encode_nvx(s))):
         # both orders: the subclass's reflected __eq__ runs first for occ == z
         assert not occ == z and not z == occ
         assert occ != z and z != occ

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from voxedit import (
     ChannelMismatch,
-    FlipMask,
     MissingLatent,
     ResolutionMismatch,
     SparseStructure,
@@ -25,7 +24,7 @@ from voxedit import (
     write_nvx,
 )
 from voxedit import merge
-from voxedit.merge import CONNECTIVITIES, mask_all
+from voxedit.merge import CONNECTIVITIES
 
 from oracles import (
     LatentReject,
@@ -383,7 +382,7 @@ def test_merge_planted_blob_with_specks():
     blob = [(1 + i, 1 + j, 1 + k) for i in range(6) for j in range(5) for k in range(5)]
     specks = [(12, 12, 12), (14, 1, 14), (1, 14, 1), (14, 14, 2), (8, 14, 14)]
     flip = make_sparse(blob + specks, 16)
-    tgt = apply_flip(src, mask_all(flip))
+    tgt = apply_flip(src, flip)
     merged, mask = voxel_merge(src, tgt, policy=Threshold(100, 26))
     assert sorted(mask.selected_sizes, reverse=True) == [150]
     # blob region transferred, specks untouched
@@ -504,7 +503,7 @@ def slat_cases(draw):
     r = draw(st.integers(2, 6))
     keys = st.lists(st.integers(0, r ** 3 - 1), unique=True, max_size=50).map(set)
     src, tgt, mask = draw(keys), draw(keys), draw(keys)
-    # merged: what apply_flip gives, any set (mask voxels outside it, rows outside src), or mask_all
+    # merged: what apply_flip gives, any set (mask voxels outside it, rows outside src), or the mask itself
     kind = draw(st.sampled_from(["flip", "free", "all"]))
     merged = src ^ mask if kind == "flip" else draw(keys)
     if kind == "all":
@@ -525,11 +524,10 @@ def test_slat_merge_equals_the_masked_gather_oracle(case):
     z_src = random_latent_for(make_sparse(_cells(r, src), r), rng, channels)
     z_tgt = random_latent_for(make_sparse(_cells(r, tgt), r), rng, channels)
     merged = make_sparse(_cells(r, merged_keys), r)
-    if kind == "all":
-        mask = mask_all(merged)
-    else:
-        m = make_sparse(_cells(r, mask_keys), r)
-        mask = FlipMask(resolution=r, coords=m.coords, selected_sizes=(m.voxel_sum,))
+    mask = merged if kind == "all" else make_sparse(_cells(r, mask_keys), r)
+    # a FlipMask of the same voxels gives the same bytes and the same first error
+    masks = (mask, select_components(label_components(mask), Threshold(0)))
+    assert np.array_equal(masks[1].key, mask.key)
     try:
         want = slat_merge_masked(r, z_src.coords, z_src.latents, z_tgt.coords, z_tgt.latents,
                                  mask.coords, merged.coords)
@@ -537,17 +535,19 @@ def test_slat_merge_equals_the_masked_gather_oracle(case):
         with pytest.raises(LatentReject) as searched:
             slat_merge_searchsorted(z_src, z_tgt, mask, merged)
         assert searched.value.args == reject.args
-        with pytest.raises(MissingLatent) as err:
-            slat_merge(z_src, z_tgt, mask, merged)
-        assert (err.value.side, err.value.coord) == reject.args
+        for m in masks:
+            with pytest.raises(MissingLatent) as err:
+                slat_merge(z_src, z_tgt, m, merged)
+            assert (err.value.side, err.value.coord) == reject.args
         return
     searched = slat_merge_searchsorted(z_src, z_tgt, mask, merged)
-    out = slat_merge(z_src, z_tgt, mask, merged)
-    assert np.array_equal(out.coords, merged.coords)
-    for ref in (want, searched):
-        assert out.latents.dtype == ref.dtype and out.latents.shape == ref.shape
-        assert out.latents.tobytes() == ref.tobytes()
-    assert not out.latents.flags.writeable
+    for m in masks:
+        out = slat_merge(z_src, z_tgt, m, merged)
+        assert np.array_equal(out.coords, merged.coords)
+        for ref in (want, searched):
+            assert out.latents.dtype == ref.dtype and out.latents.shape == ref.shape
+            assert out.latents.tobytes() == ref.tobytes()
+        assert not out.latents.flags.writeable
 
 
 @pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])

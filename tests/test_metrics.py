@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from voxedit import (
     EmptySet,
     ResolutionMismatch,
+    SparseStructure,
     Threshold,
     TopK,
     chamfer,
@@ -206,8 +207,6 @@ def test_extra_voxel_outside_mask_detected():
         if coord not in mask_set:
             grid[coord] = not grid[coord]
             break
-    from voxedit import SparseStructure
-
     corrupted = SparseStructure.from_dense(grid)
     report = region_consistency(src, tgt, corrupted, mask)
     assert report.outside_mask_iou < 1.0
@@ -238,8 +237,6 @@ def test_planted_fault_flags_exactly_the_corrupted_side():
         pool = [c for c in map(tuple, np.ndindex(8, 8, 8)) if (c in mask_set) == inside]
         victim = pool[int(rng.integers(len(pool)))]
         grid[victim] = not grid[victim]
-        from voxedit import SparseStructure
-
         report = region_consistency(src, tgt, SparseStructure.from_dense(grid), mask)
         if inside:
             assert report.inside_mask_match_fraction < 1.0
@@ -258,6 +255,8 @@ def test_iou_and_consistency_equal_dense_counts_on_arbitrary_inputs():
         union = np.count_nonzero(a | m)
         assert occupancy_iou(src, merged) == (np.count_nonzero(a & m) / union if union else 1.0)
         report = region_consistency(src, tgt, merged, mask)
+        # a plain structure of the FlipMask's voxels is the same mask
+        assert region_consistency(src, tgt, merged, SparseStructure(mask.resolution, mask.coords)) == report
         out_union = np.count_nonzero((a | m) & ~k)
         assert report.outside_mask_iou == (np.count_nonzero(a & m & ~k) / out_union if out_union else 1.0)
         assert report.inside_mask_match_fraction == (float(np.mean(m[k] == t[k])) if k.any() else 1.0)

@@ -159,6 +159,15 @@ def test_manifest_unknown_fields_preserved(tmp_path):
     assert json.loads(rewritten)["custom_annotation"] == {"score": 0.5}
 
 
+def test_manifest_extra_keys_may_not_name_declared_fields():
+    # its line would say status "ok" while the record keeps "failed"
+    with pytest.raises(ValueError, match=r"\['attempt', 'status'\]"):
+        ManifestRecord(id="a", extra={"status": "ok", "attempt": "x"})
+    # a loaded line's unknown keys still go to ``extra``, its known ones to the fields
+    record = ManifestRecord.from_json_dict({"id": "a", "status": "ok", "note": 1})
+    assert (record.status, record.extra) == ("ok", {"note": 1})
+
+
 def test_manifest_rewrite_is_byte_stable(tmp_path):
     path = tmp_path / "m.jsonl"
     rng = np.random.default_rng(60)

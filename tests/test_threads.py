@@ -1,8 +1,8 @@
-"""``split`` runs odd positions on a helper thread and even ones on the
-calling thread, and reading its futures in order gives what running the
-thunks in turn would.  ``ahead`` gives the results of thunks in order,
-running at most ``2 * workers - 1`` past the one the caller holds.  No
-other module of the package starts a thread."""
+"""The ``split`` that ``helper`` yields runs odd positions on the block's
+helper thread and even ones on the calling thread, and reading its futures
+in order gives what running the thunks in turn would.  ``ahead`` gives the
+results of thunks in order, running at most ``2 * workers - 1`` past the
+one the caller holds.  No other module of the package starts a thread."""
 import ast
 import functools
 import itertools
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from voxedit import _threads
-from voxedit._threads import ahead, helper, split
+from voxedit._threads import ahead, helper
 
 # long enough for a thread to start on a loaded machine; reached only when a test fails
 PATIENCE_S = 30
@@ -29,14 +29,16 @@ def results(done) -> list:
 
 @pytest.mark.parametrize("n", range(6))
 def test_results_come_back_in_argument_order(n):
-    done = split(*(lambda k=k: k for k in range(n)))
+    with helper() as split:
+        done = split(*(lambda k=k: k for k in range(n)))
     assert len(done) == n and all(d.done() for d in done)
     assert results(done) == list(range(n))
 
 
 def test_the_first_failure_in_argument_order_is_raised():
     for failing in itertools.chain.from_iterable(itertools.combinations(range(5), n) for n in range(1, 6)):
-        done = split(*(functools.partial(fail, k) if k in failing else (lambda k=k: k) for k in range(5)))
+        with helper() as split:
+            done = split(*(functools.partial(fail, k) if k in failing else (lambda k=k: k) for k in range(5)))
         with pytest.raises(ValueError) as exc:
             results(done)
         assert exc.value.args == (failing[0],), failing
@@ -46,7 +48,8 @@ def test_odd_positions_run_on_the_helper():
     def where():
         return threading.get_ident()
 
-    idents = results(split(*[where] * 5))
+    with helper() as split:
+        idents = results(split(*[where] * 5))
     assert idents[0] == idents[2] == idents[4] == threading.get_ident()
     assert idents[1] == idents[3] != threading.get_ident()
 
@@ -61,7 +64,8 @@ def test_a_side_stops_at_its_first_failure(first_failure):
             raise ValueError(k)
         return k
 
-    done = split(*(functools.partial(thunk, k) for k in range(5)))
+    with helper() as split:
+        done = split(*(functools.partial(thunk, k) for k in range(5)))
     # the failing thunk's side runs nothing after it; the other side runs all of its thunks
     skipped = set(range(first_failure + 2, 5, 2))
     assert sorted(ran) == [k for k in range(5) if k not in skipped]
@@ -79,7 +83,8 @@ def test_an_interrupt_on_either_side_leaves_no_thread(position):
     thunks = [lambda: 0] * 4
     thunks[position] = interrupt
     with pytest.raises(KeyboardInterrupt):
-        results(split(*thunks))
+        with helper() as split:
+            results(split(*thunks))
     assert threading.active_count() == baseline
 
 
