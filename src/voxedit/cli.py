@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from .merge import (
     CONNECTIVITIES,
     DEFAULT_CONNECTIVITY,
     DEFAULT_TAU,
-    FlipMask,
     Threshold,
     TopK,
     diff_xor,
@@ -77,14 +77,14 @@ def _read_inputs(*reads) -> list:
         return [done.result() for done in split(*reads)]
 
 
-def _mask_report(mask: FlipMask, policy) -> dict:
+def _mask_report(mask: SparseStructure, policy) -> dict:
+    """The mask alone: its coords as one flat list, x y z for each voxel in
+    linear order (the size lists are on ``merge``'s stdout)."""
     return {
         "resolution": mask.resolution,
         "policy": policy.describe(),
-        "component_sizes": list(mask.component_sizes),
-        "selected_sizes": list(mask.selected_sizes),
         "mask_size": mask.voxel_sum,
-        "coords": mask.coords.tolist(),
+        "coords": mask.coords.ravel().tolist(),
     }
 
 
@@ -99,9 +99,10 @@ def _read_json_object(path, what: str) -> dict:
 
 
 def _read_mask(path) -> SparseStructure:
-    """The voxels of the mask report that ``merge --mask-out`` writes; the
-    file comes from outside the program, so its fields are checked, the
-    size lists too, though only the voxels are read."""
+    """The voxels of the mask report that ``merge --mask-out`` writes: flat
+    coords, or the (N, 3) nested lists that earlier versions wrote.  The file
+    comes from outside the program, so its fields are checked, the size lists
+    of an older report too, though only the voxels are read."""
     obj = _read_json_object(path, "mask report")
     sizes = obj.get("selected_sizes", []), obj.get("component_sizes", [])
     if not all(type(v) is list for v in sizes):
@@ -109,8 +110,11 @@ def _read_mask(path) -> SparseStructure:
     for name in ("resolution", "coords"):
         if name not in obj:
             raise ValueError(f"mask report {path} lacks field {name!r}")
+    coords = obj["coords"]
     try:
-        return make_sparse(obj["coords"], obj["resolution"])
+        if type(coords) is list and coords and type(coords[0]) is not list and len(coords) % 3 == 0:
+            coords = np.array(coords).reshape(-1, 3)
+        return make_sparse(coords, obj["resolution"])
     except (ValueError, VoxeditError) as exc:  # the same type, its message led by the file
         exc.args = (f"mask report {path}: {exc}",)
         raise
@@ -157,6 +161,8 @@ def cmd_components(args) -> dict:
 
 
 def cmd_merge(args) -> dict:
+    if args.mask_out and os.path.realpath(args.out) == os.path.realpath(args.mask_out):
+        args.usage_error(f"--out and --mask-out name the same file: {args.out}")
     s_src, s_tgt = _read_inputs(lambda: _read_structure(args.src), lambda: _read_structure(args.tgt))
     policy = _policy_from_args(args)
     merged, mask = voxel_merge(s_src, s_tgt, policy=policy)
@@ -315,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt", required=True, help="edited occupancy NVX")
     add_merge_flags(p)
     p.add_argument("--out", required=True, help="merged occupancy NVX path")
-    p.add_argument("--mask-out", help="write the mask + audit report as JSON")
-    p.set_defaults(func=cmd_merge)
+    p.add_argument("--mask-out", help="write the mask report as JSON")
+    p.set_defaults(func=cmd_merge, usage_error=p.error)  # exits 2
 
     p = sub.add_parser("slat-merge", help="merge per-voxel latents under a flip mask")
     p.add_argument("--src-slat", required=True, help="source latent NVX")

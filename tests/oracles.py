@@ -15,7 +15,8 @@ that ``make_sparse`` ran before it deduplicated by sort and compare, the
 Slat-Merge that gathered each side through a boolean row mask before it
 built its output in one gather, the Slat-Merge that binary-searched every
 merged voxel in the source before one linear merge found the few keys
-only one side holds, the key-to-coords decode that stacked
+only one side holds, the mask report that nested its coords and carried
+the component sizes, the key-to-coords decode that stacked
 int64 divmod results, the FlowEdit loop that drew each noise sample
 inline and combined the velocities in fresh temporaries, and the dense
 grid and per-component split that the library no longer provides.  The
@@ -786,6 +787,19 @@ def cmd_merge_sequential(args) -> dict:
         "component_sizes": list(mask.component_sizes),
         "selected_sizes": list(mask.selected_sizes),
         "merged_voxel_sum": merged.voxel_sum,
+    }
+
+
+def mask_report_nested(mask, policy) -> dict:
+    """The mask report as earlier versions wrote it: both size lists, and the
+    coords as (N, 3) nested lists; ``_read_mask`` still reads it."""
+    return {
+        "resolution": mask.resolution,
+        "policy": policy.describe(),
+        "component_sizes": list(mask.component_sizes),
+        "selected_sizes": list(mask.selected_sizes),
+        "mask_size": mask.voxel_sum,
+        "coords": mask.coords.tolist(),
     }
 
 

@@ -33,7 +33,8 @@ from voxedit.cli import _emit, build_parser, dispatch
 from voxedit.merge import slat_merge
 from voxedit.nvx import encode_nvx
 
-from oracles import random_structure_coords, save_obj_loop, surface_mesh_loop, voxelize_mesh_aabb
+from oracles import (mask_report_nested, random_structure_coords, save_obj_loop, surface_mesh_loop,
+                     voxelize_mesh_aabb)
 
 DATA = Path(__file__).parent / "data"
 
@@ -71,9 +72,26 @@ def test_merge_command_writes_artifacts(tmp_path, capsys):
     # CLI output equals library output byte for byte
     merged, mask = voxel_merge(src, tgt, policy=Threshold(100))
     assert out.read_bytes() == encode_nvx(merged)
-    assert report["coords"] == mask.coords.tolist()
-    assert report["component_sizes"] == list(mask.component_sizes)
-    assert report["selected_sizes"] == list(mask.selected_sizes)
+    # the report holds the mask alone, its coords flat; the sizes are on stdout
+    assert sorted(report) == ["coords", "mask_size", "policy", "resolution"]
+    assert report["coords"] == mask.coords.ravel().tolist()
+    assert payload["component_sizes"] == list(mask.component_sizes)
+    assert payload["selected_sizes"] == list(mask.selected_sizes)
+
+
+def test_merge_refuses_one_file_for_out_and_mask_out(tmp_path, capsys, monkeypatch):
+    """The report would overwrite the merged NVX: a usage error, before any
+    input is read, and no file is written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["merge", "--src", "no-such-src.nvx", "--tgt", "no-such-tgt.nvx",
+                  "--out", "x.nvx", "--mask-out", "./x.nvx"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: voxedit merge ")
+    assert captured.err.endswith("voxedit merge: error: --out and --mask-out name the same file: x.nvx\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flowedit_example(tmp_path, capsys):
@@ -387,6 +405,33 @@ def test_consistency_command(tmp_path, capsys):
     assert payload["inside_mask_match_fraction"] == 1.0
 
 
+def test_a_nested_mask_report_reads_as_the_flat_one(tmp_path, capsys):
+    """A report in the layout earlier versions wrote (nested coords, size
+    lists) gives ``slat-merge`` and ``consistency`` the same output as the
+    flat report ``merge`` writes now."""
+    rng = np.random.default_rng(74)
+    src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=74)
+    for name, s in (("zs.nvx", src), ("zt.nvx", tgt)):
+        write_nvx(make_latent(s.coords, rng.standard_normal((s.voxel_sum, 3)), 16), tmp_path / name)
+    merged_path, flat_path, nested_path = tmp_path / "m.nvx", tmp_path / "flat.json", tmp_path / "nested.json"
+    assert run_cli(capsys, "merge", "--src", str(src_path), "--tgt", str(tgt_path), "--tau", "3",
+                   "--out", str(merged_path), "--mask-out", str(flat_path))[0] == 0
+    _, mask = voxel_merge(src, tgt, policy=Threshold(3))
+    assert mask.voxel_sum > 1
+    nested_path.write_text(json.dumps(mask_report_nested(mask, Threshold(3)), separators=(",", ":")) + "\n")
+    outputs, out_path = {}, tmp_path / "z.nvx"
+    for layout, mask_path in (("flat", flat_path), ("nested", nested_path)):
+        slat = run_cli(capsys, "slat-merge", "--src-slat", str(tmp_path / "zs.nvx"), "--tgt-slat",
+                       str(tmp_path / "zt.nvx"), "--merged", str(merged_path), "--mask", str(mask_path),
+                       "--out", str(out_path))
+        consistency = run_cli(capsys, "consistency", "--src", str(src_path), "--tgt", str(tgt_path),
+                              "--merged", str(merged_path), "--mask", str(mask_path))
+        assert slat[0] == consistency[0] == 0, layout
+        outputs[layout] = out_path.read_bytes(), slat[1], consistency[1]
+        assert cli_module._read_mask(mask_path) == mask, layout
+    assert outputs["flat"] == outputs["nested"]
+
+
 def test_consistency_rejects_fractional_mask_coords(tmp_path, capsys):
     src, tgt, src_path, tgt_path = write_pair(tmp_path, seed=76)
     write_nvx(src, tmp_path / "m.nvx")
@@ -427,6 +472,12 @@ MALFORMED_MASKS = {
                       ": coordinate (16, 0, 0) out of bounds for resolution 16"),
     "two-column-coords": ({"resolution": 16, "coords": [[2, 0]]}, "ValueError",
                           ": coords must be an (N, 3) collection"),
+    # flat coords, the layout merge writes
+    "flat-length-2": ({"resolution": 16, "coords": [2, 0]}, "ValueError", ": coords must be an (N, 3) collection"),
+    "flat-out-of-bounds": ({"resolution": 16, "coords": [16, 0, 0]}, None,
+                           ": coordinate (16, 0, 0) out of bounds for resolution 16"),
+    "flat-fractional": ({"resolution": 16, "coords": [2.5, 0, 0]}, "ValueError",
+                        ": coords must be integers in [0, 16)"),
 }
 
 

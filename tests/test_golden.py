@@ -167,7 +167,7 @@ EDIT_GOLDEN = {
     "merge": {
         "merge.stdout": "675b567bb36bd15ee4363e719f77841a9b57a555ecfb9b792cb2d3e0e67de091",
         "m.nvx": "f5eba8bbf84386cc657a41904d955ff758777f72908926ecef4d6cbde91604e3",
-        "mask.json": "52ebcf2a7149a04764b7d4e57fd14350b9cefe92082c6255bab3b350d8b7dd58",
+        "mask.json": "33ce3c02a2aa8266d4535a8829fe5f17d13454a977e8a58590c1735485693399",
         "consistency.stdout": "25cb5abb7378563ed95a1a9250c6b4abbdf11d210eab7cf260945af1a04619c0",
         "slat-merge.stdout": "245beca361f4f00aab2d9e20f6b3b4f58084f4e3574ef402fc44485306997cf4",
         "z.nvx": "71cbcc200216d544b9974ada4bbb1f2ce24a5469c1397b0d674d266dc5256e4c",
@@ -177,7 +177,7 @@ EDIT_GOLDEN = {
     "merge-top-k-6": {
         "merge.stdout": "ff5ae44abb2d4b5a9fbcee931f95bf25fafe29ad7712e09229d8760c156a857a",
         "m.nvx": "30292263087673b9cd9448dc5dcc7812975e16dc21b05b627496e320bd213cd3",
-        "mask.json": "08c8609ef5c72a4e1c27f7935be17d2b48683cbb1029fab03f3f64b09541b66d",
+        "mask.json": "9ad6e71729aa96fe32ad9bed4e7684e0d06ec140f033ce1635d31bd09457f26d",
     },
     "flow": {
         "flowedit.stdout": "92f31766634f38fb3ff856a1e072bcf1fd842edd5c797c799cc505d01ef4fc70",
@@ -213,17 +213,17 @@ CONTACT_GOLDEN = {
     6: {
         "merge.stdout": "e6e962287a6afa6ef8c7922877897ef577b6f83ff3e4012878662a430eda24d1",
         "m.nvx": "596fd49d7c3374650cfd9bfe6644854692af47226589938a2a903f601f4f517a",
-        "mask.json": "12ea8681cfaa8b7f0032221131adbb53ad1d2696fada76e13c8dc555f1cf8159",
+        "mask.json": "d87272e4f9824a4f667a887ea436d18deaa465d305c56150bfcf179e7818748a",
     },
     18: {
         "merge.stdout": "971bdc713ec9f5275e49c92e1a6b991bf3039ea2ecec496063754f1292e1f172",
         "m.nvx": "67c88be8eaf38c26ff3dc77ca8f508b0c36fdf52afb0507a5f75c2d9a83092f0",
-        "mask.json": "053eae35cd908aeeca230c31e78b0b579484d71db9921e9dff67b0dcae6b94cb",
+        "mask.json": "892c9b5699f182cfb99965e9d9581ac44af9dd1127b3f8a40e39f73527984a0d",
     },
     26: {
         "merge.stdout": "157e3c2651a52ab60b61cf74a0fbf241d8f6f613bca1e74856fceab856671f85",
         "m.nvx": "0a6f7f693dcc2d09df583b535e8b1d05dc1d0020abea3463a5fa87b72f4fe3e9",
-        "mask.json": "3be2b2737123a91d5c9cc162a55e2184c0f3850f3b2899f90a88790e90cff4c5",
+        "mask.json": "7a6f13835a1376afc4111484262d3045510b2bcae337a8fc9ebe4740b3487be1",
     },
 }
 
@@ -252,7 +252,8 @@ def test_top_k_merge_at_each_connectivity_bytes_equal_golden_digests(connectivit
 
 
 def test_the_contact_merges_differ_at_each_connectivity():
-    assert len({golden["m.nvx"] for golden in CONTACT_GOLDEN.values()}) == len(CONTACT_GOLDEN) == 3
+    for name in ("m.nvx", "mask.json"):
+        assert len({golden[name] for golden in CONTACT_GOLDEN.values()}) == len(CONTACT_GOLDEN) == 3, name
 
 
 PIPELINE_GOLDEN = {
